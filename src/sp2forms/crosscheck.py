@@ -65,52 +65,51 @@ def _parity_problems(tagged: EpsilonTaggedType, nondegenerate: bool, context: st
     return out
 
 
+def _compare(
+    text: str,
+    labels: tuple[str, str],
+    built: oracle.PointedSpace,
+    full_rule: EpsilonTaggedType,
+    irr_rule: SymplecticType,
+) -> tuple[str, list[str], list[str]]:
+    """Check a built space and its fixed-vector subquotient against the rules' classes.
+
+    Returns (text, mismatches, parity violations); labels name the full space
+    and the subquotient in the messages.
+    """
+    full_label, sub_label = (f"{label}({text})" for label in labels)
+    space, vector = built
+    mismatches = []
+
+    full = oracle.hesselink_of_space(space)
+    if full != full_rule:
+        mismatches.append(f"{full_label}: matrices give {full}, rules give {full_rule}")
+    parity = _parity_problems(full, space.is_nondegenerate(), full_label)
+
+    sub = oracle.subquotient(space, vector)
+    irr = oracle.hesselink_of_space(sub)
+    if irr != irr_rule:
+        mismatches.append(f"{sub_label}: matrices give {irr}, rules give {irr_rule}")
+    if not sub.is_nondegenerate():
+        mismatches.append(f"{sub_label}: subquotient form is degenerate")
+    parity += _parity_problems(irr, True, sub_label)
+    return (text, mismatches, parity)
+
+
 def check_symplectic_instance(type_string: str) -> tuple[str, list[str], list[str]]:
     """Compare the wedge pipeline for one symplectic class; returns (desc, mismatches, parity)."""
     s = SymplecticType.parse(type_string)
     predicted = wedge_square_classes(s)
-    space = oracle.space_from_type(s)
-    wedge, beta = oracle.wedge_space(space)
-    mismatches = []
-    parity = []
-
-    full = oracle.hesselink_of_space(wedge)
-    if full != predicted.wedge_space:
-        mismatches.append(f"wedge({type_string}): matrices give {full}, rules give {predicted.wedge_space}")
-    parity += _parity_problems(full, wedge.is_nondegenerate(), f"wedge({type_string})")
-
-    sub = oracle.subquotient(wedge, beta)
-    irr = oracle.hesselink_of_space(sub)
-    if irr != predicted.irreducible:
-        mismatches.append(f"wedge-sub({type_string}): matrices give {irr}, rules give {predicted.irreducible}")
-    if not sub.is_nondegenerate():
-        mismatches.append(f"wedge-sub({type_string}): subquotient form is degenerate")
-    parity += _parity_problems(irr, True, f"wedge-sub({type_string})")
-    return (type_string, mismatches, parity)
+    built = oracle.wedge_space(oracle.space_from_type(s))
+    return _compare(type_string, ("wedge", "wedge-sub"), built, predicted.wedge_space, predicted.irreducible)
 
 
 def check_linear_instance(jordan_string: str) -> tuple[str, list[str], list[str]]:
     """Compare the dual tensor pipeline for one Jordan type."""
     j = JordanType.parse(jordan_string)
     predicted = dual_tensor_classes(j)
-    u = oracle.unipotent_from_jordan(j)
-    big, gamma = oracle.dual_tensor_space(u)
-    mismatches = []
-    parity = []
-
-    full = oracle.hesselink_of_space(big)
-    if full != predicted.tensor_space:
-        mismatches.append(f"dual-tensor({jordan_string}): matrices give {full}, rules give {predicted.tensor_space}")
-    parity += _parity_problems(full, big.is_nondegenerate(), f"dual-tensor({jordan_string})")
-
-    sub = oracle.subquotient(big, gamma)
-    irr = oracle.hesselink_of_space(sub)
-    if irr != predicted.irreducible:
-        mismatches.append(f"dual-sub({jordan_string}): matrices give {irr}, rules give {predicted.irreducible}")
-    if not sub.is_nondegenerate():
-        mismatches.append(f"dual-sub({jordan_string}): subquotient form is degenerate")
-    parity += _parity_problems(irr, True, f"dual-sub({jordan_string})")
-    return (jordan_string, mismatches, parity)
+    built = oracle.dual_tensor_space(oracle.unipotent_from_jordan(j))
+    return _compare(jordan_string, ("dual-tensor", "dual-sub"), built, predicted.tensor_space, predicted.irreducible)
 
 
 def _run_one(task: tuple[str, str]) -> tuple[str, list[str], list[str]]:
@@ -132,20 +131,29 @@ def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:
     return tasks
 
 
+def _clamp_jobs(jobs: int) -> int:
+    """Bound a requested worker count to 1..os.cpu_count()."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def default_jobs() -> int:
+    """Worker count from $SP2FORMS_JOBS, clamped to the CPU count; 1 if unset or not an integer."""
     env = os.environ.get("SP2FORMS_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            return _clamp_jobs(int(env))
         except ValueError:
             pass
     return 1
 
 
 def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int | None = None) -> CrosscheckReport:
-    """Run both sweeps, optionally over a process pool; order-independent report."""
-    if jobs is None:
-        jobs = default_jobs()
+    """Run both sweeps, optionally over a process pool; order-independent report.
+
+    The worker count, given or from the environment, is clamped to
+    1..os.cpu_count().
+    """
+    jobs = default_jobs() if jobs is None else _clamp_jobs(jobs)
     tasks = sweep_tasks(max_dim, max_n)
     report = CrosscheckReport()
     start = time.perf_counter()

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .enumeration import (
     epsilon_variants,
-    jordan_from_partition,
+    free_sizes,
     jordan_types,
     symplectic_partitions,
     symplectic_types,
@@ -172,29 +173,6 @@ def _max_part_bound(dim: int) -> int:
     return max(1, d - 2)
 
 
-def _variant_count(p: tuple[int, ...]) -> int:
-    """Number of tag assignments over a partition: 2 per even size of even multiplicity."""
-    counts: dict[int, int] = {}
-    for part in p:
-        counts[part] = counts.get(part, 0) + 1
-    free = sum(1 for d, m in counts.items() if d % 2 == 0 and m % 2 == 0)
-    return 1 << free
-
-
-def _bounded_symplectic_partitions(dim: int, min_max_part: int):
-    """Symplectic partitions of dim with largest part >= min_max_part, reverse-lex order."""
-    from .enumeration import partitions
-
-    for dmax in range(dim, min_max_part - 1, -1):
-        for rest in partitions(dim - dmax, max_part=dmax):
-            p = (dmax,) + rest
-            counts: dict[int, int] = {}
-            for part in p:
-                counts[part] = counts.get(part, 0) + 1
-            if all(d % 2 == 0 or m % 2 == 0 for d, m in counts.items()):
-                yield p
-
-
 def _wedge_precheck(j: JordanType) -> bool:
     """Cheap necessary condition for any tag variant to survive the sweep.
 
@@ -246,14 +224,15 @@ def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
             expected_irr.add(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
         seen_wedge = set()
         seen_irr = set()
-        if exhaustive:
-            source = symplectic_partitions(2 * n)
-        else:
-            source = _bounded_symplectic_partitions(2 * n, _max_part_bound(2 * n))
+        source = symplectic_partitions(2 * n)
+        if not exhaustive:
+            # reverse-lex order yields every partition with a large enough
+            # largest part before the first one below the bound
+            bound = _max_part_bound(2 * n)
+            source = takewhile(lambda p: p[-1][0] >= bound, source)
         for p in source:
-            j = jordan_from_partition(p)
-            if not _wedge_precheck(j):
-                report.checked += _variant_count(p)
+            if not _wedge_precheck(JordanType(p)):
+                report.checked += 1 << len(free_sizes(p))
                 continue
             for s in epsilon_variants(p):
                 report.checked += 1

@@ -3,7 +3,8 @@
 Sweeps, tables and verification reports all iterate in the same order:
 partitions in reverse-lexicographic order (largest parts first), and within
 a partition the tag assignments with larger sizes varying slowest and the
-tagged choice first.
+tagged choice first.  Partitions are in multiplicity form, ascending
+(size, multiplicity) pairs as in :attr:`JordanType.blocks`.
 """
 
 from __future__ import annotations
@@ -14,63 +15,69 @@ from typing import Iterator
 from .hesselink import SymplecticType, alpha_of
 from .jordan import JordanType
 
+Partition = tuple[tuple[int, int], ...]
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples.
 
-    Enumerated reverse-lexicographically: (n,) first, (1, ..., 1) last.
+def partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in multiplicity form, reverse-lexicographically.
+
+    (n,) comes first and (1, ..., 1) last.  Each step is the step of Knuth's
+    Algorithm P (TAOCP Vol. 4A, 7.2.1.4) on the multiplicity encoding of
+    Kelleher and O'Sullivan (arXiv:0909.2331): drop the ones, take one copy
+    of the smallest remaining part d, and refill its value plus the ones
+    greedily with parts of size d - 1.  The working list holds the distinct
+    parts largest first, so each step touches only its tail.
     """
-    if n == 0:
-        yield ()
+    if n < 1:
+        if n == 0:
+            yield ()
         return
-    top = min(n, max_part) if max_part is not None else n
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
-def jordan_from_partition(p: tuple[int, ...]) -> JordanType:
-    counts: dict[int, int] = {}
-    for part in p:
-        counts[part] = counts.get(part, 0) + 1
-    return JordanType.from_dict(counts)
+    parts = [(n, 1)]
+    while True:
+        yield tuple(reversed(parts))
+        ones = parts.pop()[1] if parts[-1][0] == 1 else 0
+        if not parts:
+            return
+        d, m = parts.pop()
+        if m > 1:
+            parts.append((d, m - 1))
+        q, r = divmod(d + ones, d - 1)
+        parts.append((d - 1, q))
+        if r:
+            parts.append((r, 1))
 
 
 def jordan_types(n: int, include_trivial: bool = True) -> Iterator[JordanType]:
     """Jordan types of dimension n, in table order."""
     for p in partitions(n):
-        if not include_trivial and all(part == 1 for part in p):
+        if not include_trivial and all(d == 1 for d, _ in p):
             continue
-        yield jordan_from_partition(p)
+        yield JordanType(p)
 
 
-def symplectic_partitions(dim: int) -> Iterator[tuple[int, ...]]:
+def symplectic_partitions(dim: int) -> Iterator[Partition]:
     """Partitions of dim in which every odd part has even multiplicity."""
     for p in partitions(dim):
-        counts: dict[int, int] = {}
-        for part in p:
-            counts[part] = counts.get(part, 0) + 1
-        if all(d % 2 == 0 or m % 2 == 0 for d, m in counts.items()):
+        if all(d % 2 == 0 or m % 2 == 0 for d, m in p):
             yield p
 
 
-def epsilon_variants(p: tuple[int, ...]) -> Iterator[SymplecticType]:
+def free_sizes(p: Partition) -> list[int]:
+    """Sizes whose tag is a free choice, largest first: even sizes of even multiplicity."""
+    return [d for d, m in reversed(p) if d % 2 == 0 and m % 2 == 0]
+
+
+def epsilon_variants(p: Partition) -> Iterator[SymplecticType]:
     """All symplectic classes over one Jordan partition, in table order.
 
-    Odd sizes and even sizes of odd multiplicity have forced tags; the
-    remaining sizes are free.  Free choices vary with larger sizes slowest,
+    Odd sizes have the forced tag 0 and even sizes of odd multiplicity the
+    forced tag 1; the remaining sizes are free.  Free choices vary with larger sizes slowest,
     tagged (eps = 1) before untagged.
     """
-    counts: dict[int, int] = {}
-    for part in p:
-        counts[part] = counts.get(part, 0) + 1
-    free = [d for d, m in counts.items() if d % 2 == 0 and m % 2 == 0]
-    free.sort(reverse=True)
-    forced = {d: (1 if d % 2 == 0 else 0) for d, m in counts.items() if d not in free}
+    free = free_sizes(p)
     for choice in product((1, 0), repeat=len(free)):
-        tags = dict(forced)
-        tags.update(zip(free, choice))
-        yield SymplecticType(tuple((d, m, tags[d]) for d, m in sorted(counts.items())))
+        tags = dict(zip(free, choice))
+        yield SymplecticType(tuple((d, m, tags.get(d, 1 - d % 2)) for d, m in p))
 
 
 def symplectic_types(
@@ -80,7 +87,7 @@ def symplectic_types(
 ) -> Iterator[SymplecticType]:
     """All symplectic classes of the given dimension, in table order."""
     for p in symplectic_partitions(dim):
-        if not include_trivial and all(part == 1 for part in p):
+        if not include_trivial and all(d == 1 for d, _ in p):
             continue
         for s in epsilon_variants(p):
             if alpha_positive and alpha_of(s) == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .jordan import (
     JordanType,
-    ParseError,
+    _scan_terms,
     _tensor_blocks,
     nu2,
     restrict_power,
@@ -104,8 +104,11 @@ class EpsilonTaggedType:
 
     @classmethod
     def parse(cls, text: str) -> EpsilonTaggedType:
-        """Parse the ``d_e^m`` comma-separated grammar, e.g. ``2_0^2,8_1``."""
-        return _parse_tagged(text, cls)
+        """Parse the ``d_e^m`` comma-separated grammar, e.g. ``2_0^2,8_1``.
+
+        ``SymplecticType.parse`` also checks the parity laws.
+        """
+        return cls(_scan_terms(text, tagged=True))
 
 
 class SymplecticType(EpsilonTaggedType):
@@ -124,49 +127,6 @@ class SymplecticType(EpsilonTaggedType):
                 raise SymplecticConstraintError(
                     d, f"size {d} has odd multiplicity {m} with eps = 0; odd multiplicity forces eps = 1"
                 )
-
-    @classmethod
-    def parse(cls, text: str) -> SymplecticType:
-        return _parse_tagged(text, cls)
-
-
-def _parse_tagged(text: str, cls):
-    from .jordan import _scan_int, _skip_ws, _strip_parens
-
-    text = _strip_parens(text)
-    pos = _skip_ws(text, 0)
-    if pos < len(text) and text[pos] == "0":
-        tail = _skip_ws(text, pos + 1)
-        if tail == len(text):
-            return cls(())
-        raise ParseError(text, tail, "unexpected input after '0'")
-    seen: dict[int, tuple[int, int]] = {}
-    while True:
-        at = _skip_ws(text, pos)
-        d, pos = _scan_int(text, pos, "block size")
-        if d == 0:
-            raise ParseError(text, at, "block size must be positive")
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "_":
-            raise ParseError(text, pos, "expected '_' and an eps tag")
-        e, pos = _scan_int(text, pos + 1, "eps tag")
-        if e not in (0, 1):
-            raise ParseError(text, pos - 1, f"eps tag must be 0 or 1, got {e}")
-        m = 1
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == "^":
-            m, pos = _scan_int(text, pos + 1, "multiplicity")
-            if m == 0:
-                raise ParseError(text, pos - 1, "multiplicity must be positive")
-        if d in seen:
-            raise ParseError(text, at, f"duplicate block size {d}")
-        seen[d] = (m, e)
-        pos = _skip_ws(text, pos)
-        if pos == len(text):
-            return cls(tuple((d, m, e) for d, (m, e) in sorted(seen.items())))
-        if text[pos] != ",":
-            raise ParseError(text, pos, f"expected ',' or end of input, got {text[pos]!r}")
-        pos += 1
 
 
 def validate_symplectic(t: EpsilonTaggedType) -> SymplecticType:
@@ -237,7 +197,8 @@ def _pair_product(kind1: str, d1: int, kind2: str, d2: int) -> dict[int, list[in
         out = {}
         for a, c in inner:
             if a == dj:
-                assert c == 1 << alpha, f"tagged block of {d1} x {d2} has multiplicity {c}"
+                if c != 1 << alpha:
+                    raise RuntimeError(f"tagged block of {d1} x {d2} has multiplicity {c}")
                 out[2 * a] = [2 * c, 1]
             else:
                 out[2 * a] = [2 * c, 0]

@@ -106,7 +106,7 @@ class JordanType:
         ``^1`` may be omitted; ``0`` denotes the empty type.  Duplicate or
         non-positive sizes are rejected with the offending position.
         """
-        return _parse_jordan(text)
+        return cls(_scan_terms(text, tagged=False))
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -133,32 +133,44 @@ def _strip_parens(text: str) -> str:
     return text
 
 
-def _parse_jordan(text: str) -> JordanType:
+def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
+    """Scan comma-separated ``d^m`` terms, or ``d_e^m`` terms when tagged.
+
+    Returns (d, m) or (d, m, e) tuples sorted by size; ``0`` gives the empty
+    tuple.  Every error is a ParseError at the offending position.
+    """
     text = _strip_parens(text)
     pos = _skip_ws(text, 0)
     if pos < len(text) and text[pos] == "0":
         tail = _skip_ws(text, pos + 1)
         if tail == len(text):
-            return JordanType(())
+            return ()
         raise ParseError(text, tail, "unexpected input after '0'")
-    counts: dict[int, int] = {}
+    terms: dict[int, tuple[int, ...]] = {}
     while True:
         at = _skip_ws(text, pos)
         d, pos = _scan_int(text, pos, "block size")
         if d == 0:
             raise ParseError(text, at, "block size must be positive")
+        if tagged:
+            pos = _skip_ws(text, pos)
+            if pos >= len(text) or text[pos] != "_":
+                raise ParseError(text, pos, "expected '_' and an eps tag")
+            e, pos = _scan_int(text, pos + 1, "eps tag")
+            if e not in (0, 1):
+                raise ParseError(text, pos - 1, f"eps tag must be 0 or 1, got {e}")
         m = 1
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] == "^":
             m, pos = _scan_int(text, pos + 1, "multiplicity")
             if m == 0:
                 raise ParseError(text, pos - 1, "multiplicity must be positive")
-        if d in counts:
+        if d in terms:
             raise ParseError(text, at, f"duplicate block size {d}")
-        counts[d] = m
+        terms[d] = (d, m, e) if tagged else (d, m)
         pos = _skip_ws(text, pos)
         if pos == len(text):
-            return JordanType.from_dict(counts)
+            return tuple(sorted(terms.values()))
         if text[pos] != ",":
             raise ParseError(text, pos, f"expected ',' or end of input, got {text[pos]!r}")
         pos += 1

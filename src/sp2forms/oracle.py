@@ -591,7 +591,8 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
                 chosen.append(cand)
                 break
             w ^= pivots[b]
-    assert len(chosen) == len(perp) - 1, "fixed vector should lie in its own perp"
+    if len(chosen) != len(perp) - 1:
+        raise RuntimeError("fixed vector should lie in its own perp")
     solver = _Solver([v] + chosen)
     k = len(chosen)
     u_rows = [0] * k

@@ -126,13 +126,15 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     tagged: set[int] = set()
     for d in j.sizes():
         tagged |= consecutive_ones_powers(d)
-    assert tagged <= set(lam), f"tagged sizes {tagged - set(lam)} missing from the tensor square"
+    if not tagged <= set(lam):
+        raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the tensor square")
 
     lam_sub = _subquotient_multiplicities(lam, n, alpha)
     tagged_sub = set(tagged)
     if _is_halving_case(n, alpha):
         new_size = (1 << alpha) - 2
-        assert new_size not in tagged
+        if new_size in tagged:
+            raise RuntimeError(f"size {new_size} should not be tagged on the tensor square")
         tagged_sub.add(new_size)
 
     full = _tag(lam, tagged)
@@ -176,19 +178,22 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
                 continue
             odd = unique_odd_block(h1 >> beta, h2 >> beta)
             tagged.add(odd << (beta + 1))
-    assert tagged <= set(lam), f"tagged sizes {tagged - set(lam)} missing from the wedge square"
+    if not tagged <= set(lam):
+        raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the wedge square")
 
     lam_sub = _subquotient_multiplicities(lam, n, alpha)
     if n % 2 or alpha == 0:
         tagged_sub = set(tagged)
     else:
         a = 1 << alpha
-        assert a in tagged, f"size {a} should always be tagged on the wedge square"
+        if a not in tagged:
+            raise RuntimeError(f"size {a} should always be tagged on the wedge square")
         tagged_sub = set(tagged)
         if not any(nu2(d) == alpha for d, _ in w_sizes):
             tagged_sub.discard(a)
         if alpha > 1:
-            assert a - 2 not in tagged
+            if a - 2 in tagged:
+                raise RuntimeError(f"size {a - 2} should not be tagged on the wedge square")
             if (n >> alpha) % 2:
                 tagged_sub.add(a - 2)
 

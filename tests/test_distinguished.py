@@ -73,18 +73,36 @@ class TestSweeps:
 
     def test_max_part_bound_is_safe(self):
         # every class below the bound really has an over-large wedge multiplicity
-        from sp2forms.enumeration import symplectic_partitions, jordan_from_partition
-        from sp2forms.jordan import wedge_square
+        from sp2forms.enumeration import symplectic_partitions
+        from sp2forms.jordan import JordanType, wedge_square
 
         for dim in (8, 12, 16):
             bound = _max_part_bound(dim)
             for p in symplectic_partitions(dim):
-                if p[0] >= bound:
+                if p[-1][0] >= bound:
                     continue
-                lam = wedge_square(jordan_from_partition(p))
+                lam = wedge_square(JordanType(p))
                 assert any(m > 4 for _, m in lam.blocks) or sum(
                     1 for d, m in lam.blocks if m > 2
                 ) > 1 or any(d % 2 and d > 1 for d, _ in lam.blocks) or lam.to_dict().get(1, 0) > 2
+
+    @pytest.mark.parametrize(
+        "sweep,args,checked",
+        [
+            (verify_prop_C, (6,), 106),
+            (verify_prop_C, (6, True), 117),
+            (verify_prop_C, (9,), 379),
+            (verify_prop_C, (9, True), 574),
+            (verify_prop_C, (12,), 951),
+            (verify_prop_C, (12, True), 2256),
+            (verify_prop_A_tensor, (10,), 137),
+            (verify_prop_A_irr, (10,), 137),
+            (verify_prop_tensor, (28,), 484),
+        ],
+    )
+    def test_checked_counts(self, sweep, args, checked):
+        # the checked counts are part of each report and must not move with the enumeration
+        assert sweep(*args).checked == checked
 
     def test_report_json(self):
         data = verify_prop_A_tensor(6).to_json()

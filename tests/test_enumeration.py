@@ -12,17 +12,17 @@ from sp2forms.hesselink import alpha_of
 
 def test_partitions_reverse_lex():
     assert list(partitions(6)) == [
-        (6,),
-        (5, 1),
-        (4, 2),
-        (4, 1, 1),
-        (3, 3),
-        (3, 2, 1),
-        (3, 1, 1, 1),
-        (2, 2, 2),
-        (2, 2, 1, 1),
-        (2, 1, 1, 1, 1),
-        (1, 1, 1, 1, 1, 1),
+        ((6, 1),),
+        ((1, 1), (5, 1)),
+        ((2, 1), (4, 1)),
+        ((1, 2), (4, 1)),
+        ((3, 2),),
+        ((1, 1), (2, 1), (3, 1)),
+        ((1, 3), (3, 1)),
+        ((2, 3),),
+        ((1, 2), (2, 2)),
+        ((1, 4), (2, 1)),
+        ((1, 6),),
     ]
 
 
@@ -33,19 +33,19 @@ def test_partition_counts():
 
 def test_symplectic_partitions_filter():
     got = list(symplectic_partitions(6))
-    assert (3, 3) in got
-    assert all(p.count(part) % 2 == 0 for p in got for part in p if part % 2)
-    assert (3, 2, 1) not in got
+    assert ((3, 2),) in got
+    assert all(m % 2 == 0 for p in got for d, m in p if d % 2)
+    assert ((1, 1), (2, 1), (3, 1)) not in got
 
 
 def test_epsilon_variant_order():
     # free tags vary with larger sizes slowest, tagged first
-    variants = [str(s) for s in epsilon_variants((4, 4, 2, 2))]
+    variants = [str(s) for s in epsilon_variants(((2, 2), (4, 2)))]
     assert variants == ["2_1^2,4_1^2", "2_0^2,4_1^2", "2_1^2,4_0^2", "2_0^2,4_0^2"]
 
 
 def test_forced_tags():
-    variants = [str(s) for s in epsilon_variants((4, 2, 2))]
+    variants = [str(s) for s in epsilon_variants(((2, 2), (4, 1)))]
     # size 4 has odd multiplicity: tag forced; size 2 free
     assert variants == ["2_1^2,4_1", "2_0^2,4_1"]
 

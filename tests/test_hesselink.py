@@ -65,9 +65,20 @@ class TestTypes:
         assert S("(1_0^2, 2_1)") == S("1_0^2,2_1")
 
     def test_parse_errors(self):
-        for bad in ["2", "2_2", "2_1^0", "2_1,2_0"]:
-            with pytest.raises(ParseError):
+        for bad, pos in [
+            ("2", 1),
+            ("2_2", 2),
+            ("2_1^0", 4),
+            ("2_1,2_0", 4),
+            ("2_1,", 4),
+            ("2_1^^2", 4),
+            ("0,2_1", 1),
+            ("a", 0),
+            ("2_1 x", 4),
+        ]:
+            with pytest.raises(ParseError) as info:
                 E(bad)
+            assert info.value.pos == pos, bad
 
     def test_equality_across_validation(self):
         assert E("2_1") == S("2_1")
