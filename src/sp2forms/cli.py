@@ -101,9 +101,13 @@ def _cmd_thm_c(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """N or LO..HI as (lo, hi); ValueError if not integers or if LO > HI."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"reversed range {text!r}")
+        return lo, hi
     n = int(text)
     return n, n
 

@@ -5,8 +5,14 @@ Everything in :mod:`sp2forms.jordan`, :mod:`sp2forms.hesselink` and
 objects as explicit matrices over the two-element field and recomputes
 Jordan types (rank profiles of powers of u - 1), eps tags (a linear
 functional on the kernel of a power), and subquotients by a fixed vector.
-Rows are stored as Python ints used as bitsets, so all row operations are
-single XORs; dimensions up to a few hundred are cheap.
+
+A matrix keeps its rows as Python ints used as bitsets, plus a column view
+built on first use and then kept.  Products XOR whole rows, and a matrix
+applies to a vector as the XOR of the columns the vector selects.  One
+echelon helper serves rank, kernel and inverse.  Wedge squares are built
+from the columns of u and the rows of the Gram matrix, one x ^ y at a time,
+and one chain of powers of u - 1 gives both the Jordan type and the eps
+tags.  Dimensions up to a few hundred are cheap.
 """
 
 from __future__ import annotations
@@ -19,18 +25,23 @@ from .jordan import JordanType
 
 
 class Gf2Matrix:
-    """Dense matrix over GF(2); row i is an int whose bit j is entry (i, j)."""
+    """Dense matrix over GF(2); row i is an int whose bit j is entry (i, j).
 
-    __slots__ = ("nrows", "ncols", "rows")
+    ``cols`` is the column view: column j is an int whose bit i is entry
+    (i, j).  It is built on first use and kept, which is safe because the
+    rows are an immutable tuple.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "_cols")
 
     def __init__(self, nrows: int, ncols: int, rows: Iterable[int]):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = tuple(rows)
+        self._cols: tuple[int, ...] | None = None
         if len(self.rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(self.rows)}")
-        mask = (1 << ncols) - 1
-        if any(r & ~mask for r in self.rows):
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> ncols):
             raise ValueError("row has bits outside the column range")
 
     @classmethod
@@ -53,6 +64,17 @@ class Gf2Matrix:
                     acc |= 1 << j
             rows.append(acc)
         return cls(nrows, ncols, rows)
+
+    @classmethod
+    def from_columns(cls, nrows: int, cols: list[int]) -> Gf2Matrix:
+        """The nrows x len(cols) matrix whose column j is the bitset cols[j]."""
+        return cls(len(cols), nrows, cols).transpose()
+
+    @property
+    def cols(self) -> tuple[int, ...]:
+        if self._cols is None:
+            self._cols = _bit_transpose(self.rows, self.ncols)
+        return self._cols
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -83,98 +105,40 @@ class Gf2Matrix:
     def mul(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
-                acc ^= other.rows[j]
-                rr &= rr - 1
-            out.append(acc)
-        return Gf2Matrix(self.nrows, other.ncols, out)
+        return Gf2Matrix(self.nrows, other.ncols, (_combine(other.rows, r) for r in self.rows))
 
     def matvec(self, v: int) -> int:
         """Matrix times column vector (vector = int bitset of coordinates)."""
-        acc = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                acc |= 1 << i
-        return acc
+        if v >> self.ncols:
+            v &= (1 << self.ncols) - 1
+        return _combine(self.cols, v)
 
     def transpose(self) -> Gf2Matrix:
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
-                cols[j] |= 1 << i
-                rr &= rr - 1
-        return Gf2Matrix(self.ncols, self.nrows, cols)
+        out = Gf2Matrix(self.ncols, self.nrows, self.cols)
+        out._cols = self.rows
+        return out
 
     def rank(self) -> int:
-        pivots: dict[int, int] = {}
-        for row in self.rows:
-            cur = row
-            while cur:
-                b = (cur & -cur).bit_length() - 1
-                if b in pivots:
-                    cur ^= pivots[b]
-                else:
-                    pivots[b] = cur
-                    break
-        return len(pivots)
+        return len(_echelon(self.rows)[0])
 
     def kernel_basis(self) -> list[int]:
         """Vectors v with M v = 0, as int bitsets; basis of the kernel."""
-        pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (image, preimage)
-        cols = self.transpose().rows
-        kernel = []
-        for j in range(self.ncols):
-            w, v = cols[j], 1 << j
-            while w:
-                b = (w & -w).bit_length() - 1
-                if b not in pivots:
-                    pivots[b] = (w, v)
-                    break
-                pw, pv = pivots[b]
-                w ^= pw
-                v ^= pv
-            else:
-                kernel.append(v)
-        return kernel
+        return _echelon(self.cols)[1]
 
     def inverse(self) -> Gf2Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse requires a square matrix")
-        n = self.nrows
-        pivots: dict[int, tuple[int, int]] = {}
-        for i in range(n):
-            w, v = self.rows[i], 1 << i
-            while w:
-                b = (w & -w).bit_length() - 1
-                if b not in pivots:
-                    pivots[b] = (w, v)
-                    break
-                pw, pv = pivots[b]
-                w ^= pw
-                v ^= pv
-            else:
-                raise ValueError("matrix is singular")
-        # eliminate the off-pivot bits so each pivot row becomes a unit vector;
-        # descending order guarantees every higher pivot is already reduced
+        pivots, dependent = _echelon(self.rows)
+        if dependent:
+            raise ValueError("matrix is singular")
+        # inv[b] is the row-combination of self equal to e_b, i.e. row b of the
+        # inverse; a pivot vector has bit b lowest, so its other bits are
+        # higher pivots, whose rows descending order has already filled in
+        inv = [0] * self.nrows
         for b in sorted(pivots, reverse=True):
             w, v = pivots[b]
-            rest = w ^ (1 << b)
-            while rest:
-                b2 = (rest & -rest).bit_length() - 1
-                _, pv = pivots[b2]
-                rest ^= 1 << b2
-                v ^= pv
-            pivots[b] = (1 << b, v)
-        # pivots[b][1] is the row-combination of self equal to e_b, i.e. row b of the inverse
-        out = [pivots[b][1] for b in range(n)]
-        return Gf2Matrix(n, n, out)
+            inv[b] = v ^ _combine(inv, w ^ (1 << b))
+        return Gf2Matrix(self.nrows, self.nrows, inv)
 
     def kron(self, other: Gf2Matrix) -> Gf2Matrix:
         rows = []
@@ -188,6 +152,54 @@ class Gf2Matrix:
                     rr &= rr - 1
                 rows.append(acc)
         return Gf2Matrix(self.nrows * other.nrows, self.ncols * other.ncols, rows)
+
+
+def _combine(vectors, select: int) -> int:
+    """XOR of vectors[j] over the set bits j of select."""
+    acc = 0
+    while select:
+        low = select & -select
+        acc ^= vectors[low.bit_length() - 1]
+        select ^= low
+    return acc
+
+
+def _bit_transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Columns of the matrix whose rows are the width-bit ints rows: each set bit moves once."""
+    cols = [0] * width
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return tuple(cols)
+
+
+def _echelon(vectors: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gaussian elimination over GF(2) on bitset vectors, taken in order.
+
+    Returns (pivots, dependencies).  pivots maps the lowest bit of each
+    reduced independent vector to (reduced vector, combination), where the
+    combination is the bitset of input indices whose XOR is that vector.
+    Each input that reduces to zero adds its combination to dependencies,
+    which is therefore a basis of the linear relations among the inputs.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    dependencies = []
+    for idx, w in enumerate(vectors):
+        comb = 1 << idx
+        while w:
+            b = (w & -w).bit_length() - 1
+            hit = pivots.get(b)
+            if hit is None:
+                pivots[b] = (w, comb)
+                break
+            w ^= hit[0]
+            comb ^= hit[1]
+        else:
+            dependencies.append(comb)
+    return pivots, dependencies
 
 
 def matrix_power(m: Gf2Matrix, k: int) -> Gf2Matrix:
@@ -204,13 +216,7 @@ def matrix_power(m: Gf2Matrix, k: int) -> Gf2Matrix:
 
 def jordan_block_matrix(d: int) -> Gf2Matrix:
     """Single unipotent Jordan block: u e_1 = e_1, u e_i = e_i + e_(i-1)."""
-    rows = []
-    for i in range(d):
-        r = 1 << i
-        if i + 1 < d:
-            r |= 1 << (i + 1)
-        rows.append(r)
-    return Gf2Matrix(d, d, rows)
+    return Gf2Matrix(d, d, ((3 << i) & ((1 << d) - 1) for i in range(d)))
 
 
 def unipotent_from_jordan(j: JordanType) -> Gf2Matrix:
@@ -229,31 +235,47 @@ def _block_diag(blocks: list[Gf2Matrix]) -> Gf2Matrix:
     return Gf2Matrix(dim, dim, rows)
 
 
-def jordan_type_of(u: Gf2Matrix) -> JordanType:
-    """Jordan type from the rank profile of powers of X = u - 1.
+def _power_chain(u: Gf2Matrix) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Columns, ranks and kernel bases of X^0, X^1, ..., X^h for X = u - 1.
 
-    The multiplicity of size d is rank X^(d-1) - 2 rank X^d + rank X^(d+1).
-    Raises if u is not unipotent (the profile must reach rank zero).
+    X^h is the first zero power.  Column j of X^(k+1) = X^k X is X^k applied
+    to column j of X, which is sparse, and one elimination of the columns of
+    X^k gives both its rank and a basis of its kernel.  The ranks fall until
+    the image of X^k stops shrinking, and then stay put; so u is unipotent
+    exactly when they fall to zero, and the chain raises as soon as two
+    consecutive ranks are equal.
     """
     n = u.nrows
-    x = u.add(Gf2Matrix.identity(n))
-    ranks = [n]
-    p = x
-    while True:
-        r = p.rank()
-        ranks.append(r)
-        if r == 0:
-            break
-        if len(ranks) > n + 1:
+    x = u.add(Gf2Matrix.identity(n)).cols
+    powers, ranks, kernels = [[1 << i for i in range(n)]], [n], [[]]
+    while ranks[-1]:
+        cols = [_combine(powers[-1], c) for c in x]
+        pivots, kernel = _echelon(cols)
+        if len(pivots) == ranks[-1]:
             raise ValueError("matrix is not unipotent: rank profile does not vanish")
-        p = p.mul(x)
-    ranks.append(0)
+        powers.append(cols)
+        ranks.append(len(pivots))
+        kernels.append(kernel)
+    return powers, ranks, kernels
+
+
+def _jordan_from_ranks(ranks: list[int]) -> JordanType:
+    """The multiplicity of size d is rank X^(d-1) - 2 rank X^d + rank X^(d+1)."""
+    ranks = ranks + [0]
     out = {}
     for d in range(1, len(ranks) - 1):
         m = ranks[d - 1] - 2 * ranks[d] + ranks[d + 1]
         if m:
             out[d] = m
     return JordanType.from_dict(out)
+
+
+def jordan_type_of(u: Gf2Matrix) -> JordanType:
+    """Jordan type from the rank profile of powers of X = u - 1.
+
+    Raises if u is not unipotent (the profile must reach rank zero).
+    """
+    return _jordan_from_ranks(_power_chain(u)[1])
 
 
 @dataclass(frozen=True)
@@ -271,12 +293,12 @@ class BilinearSpace:
         n = self.u.nrows
         if self.u.ncols != n or self.gram.nrows != n or self.gram.ncols != n:
             raise ValueError("operator and Gram matrix must be square of equal size")
-        if self.gram != self.gram.transpose():
+        if self.gram.rows != self.gram.cols:
             raise ValueError("Gram matrix must be symmetric")
         if any((self.gram.rows[i] >> i) & 1 for i in range(n)):
             raise ValueError("Gram matrix must have zero diagonal (alternating form)")
-        ut = self.u.transpose()
-        if ut.mul(self.gram).mul(self.u) != self.gram:
+        # associated so that both products select with the sparse rows of G and of u^T
+        if self.u.transpose().mul(self.gram.mul(self.u)) != self.gram:
             raise ValueError("form is not invariant under the operator")
 
     @property
@@ -338,12 +360,7 @@ def build_w(d: int) -> BilinearSpace:
     j = jordan_block_matrix(d)
     jdual = j.inverse().transpose()
     u = _block_diag([j, jdual])
-    rows = []
-    for i in range(d):
-        rows.append(1 << (d + i))
-    for i in range(d):
-        rows.append(1 << i)
-    gram = Gf2Matrix(2 * d, 2 * d, rows)
+    gram = Gf2Matrix(2 * d, 2 * d, [1 << (d + i) for i in range(d)] + [1 << i for i in range(d)])
     return BilinearSpace(u, gram)
 
 
@@ -367,10 +384,7 @@ def space_from_type(s: SymplecticType) -> BilinearSpace:
             parts.extend(build_w(d) for _ in range(m // 2))
     if not parts:
         raise ValueError("cannot build the zero space")
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    return out
+    return BilinearSpace(_block_diag([p.u for p in parts]), _block_diag([p.gram for p in parts]))
 
 
 def dual_tensor_space(u: Gf2Matrix) -> PointedSpace:
@@ -385,16 +399,9 @@ def dual_tensor_space(u: Gf2Matrix) -> PointedSpace:
     if n < 2:
         raise ValueError(f"need dimension at least 2, got {n}")
     big_u = u.kron(u.inverse().transpose())
-    m = n * n
-    swap_rows = [0] * m
-    for i in range(n):
-        for j in range(n):
-            swap_rows[i * n + j] |= 1 << (j * n + i)
-    psi = 0
-    for i in range(n):
-        psi |= 1 << (i * n + i)
-    rows = [swap_rows[p] ^ (psi if (psi >> p) & 1 else 0) for p in range(m)]
-    gram = Gf2Matrix(m, m, rows)
+    swap_rows = [1 << (j * n + i) for i in range(n) for j in range(n)]  # row i * n + j
+    psi = sum(1 << (i * n + i) for i in range(n))
+    gram = Gf2Matrix(n * n, n * n, (r ^ (psi if (psi >> p) & 1 else 0) for p, r in enumerate(swap_rows)))
     return PointedSpace(BilinearSpace(big_u, gram), psi)
 
 
@@ -408,25 +415,20 @@ def symplectic_basis(gram: Gf2Matrix) -> list[int]:
     m = gram.nrows
     if m % 2:
         raise ValueError("non-degenerate alternating form needs even dimension")
-
-    def pairing(v, w):
-        return (gram.matvec(w) & v).bit_count() & 1
-
     remaining = [1 << i for i in range(m)]
     pairs = []
     while remaining:
         x = remaining.pop(0)
-        partner = None
-        for idx, y in enumerate(remaining):
-            if pairing(x, y):
-                partner = idx
-                break
+        gx = gram.matvec(x)
+        partner = next((idx for idx, y in enumerate(remaining) if (gx & y).bit_count() & 1), None)
         if partner is None:
             raise ValueError("Gram matrix is degenerate")
         y = remaining.pop(partner)
-        remaining = [w ^ (x if pairing(w, y) else 0) ^ (y if pairing(w, x) else 0) for w in remaining]
+        gy = gram.matvec(y)
+        remaining = [
+            w ^ (x if (gy & w).bit_count() & 1 else 0) ^ (y if (gx & w).bit_count() & 1 else 0) for w in remaining
+        ]
         pairs.append((x, y))
-    n = m // 2
     basis = [0] * m
     for i, (x, y) in enumerate(pairs):
         basis[i] = x
@@ -434,75 +436,88 @@ def symplectic_basis(gram: Gf2Matrix) -> list[int]:
     return basis
 
 
+def _pair_offsets(m: int) -> list[int]:
+    """Position of e_i ^ e_(i+1) in the basis e_i ^ e_j (i < j), ordered by i, then j."""
+    return [i * m - i * (i + 1) // 2 for i in range(m)]
+
+
+def _wedge(x: int, y: int, offsets: list[int]) -> int:
+    """Coordinates of x ^ y in the e_i ^ e_j basis: x_i y_j + x_j y_i at (i, j).
+
+    For each i in x or y, the coordinates (i, j > i) form one run of bits,
+    x_i y + y_i x shifted down past bit i.
+    """
+    acc = 0
+    both = x | y
+    while both:
+        low = both & -both
+        i = low.bit_length() - 1
+        run = (y if x & low else 0) ^ (x if y & low else 0)
+        acc ^= (run >> (i + 1)) << offsets[i]
+        both ^= low
+    return acc
+
+
 def wedge_matrix(u: Gf2Matrix) -> Gf2Matrix:
-    """The operator induced on the wedge square, on the basis e_i ^ e_j (i < j)."""
+    """The operator induced on the wedge square, on the basis e_i ^ e_j (i < j).
+
+    Column (i, j) is the image u e_i ^ u e_j.
+    """
     m = u.nrows
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    index = {p: k for k, p in enumerate(pairs)}
-    w = len(pairs)
-    u_rows = [0] * w
-    for (i, j), col in index.items():
-        # image of e_i ^ e_j under u ^ u
-        for (k, l), row in index.items():
-            val = (u.entry(k, i) & u.entry(l, j)) ^ (u.entry(l, i) & u.entry(k, j))
-            if val:
-                u_rows[row] |= 1 << col
-    return Gf2Matrix(w, w, u_rows)
+    offsets = _pair_offsets(m)
+    cols = u.cols
+    images = [_wedge(cols[i], cols[j], offsets) for i in range(m) for j in range(i + 1, m)]
+    return Gf2Matrix.from_columns(len(images), images)
 
 
 def wedge_space(a: BilinearSpace) -> PointedSpace:
     """The wedge square of a non-degenerate space, with its alternating form.
 
     The basis is e_i ^ e_j for i < j; the underlying symmetric form is the
-    2x2 determinant of pairings, corrected by the rank-one square of the
-    functional v ^ w -> b(v, w).  The fixed vector is the invariant wedge
-    sum f_i ^ f_(2n+1-i) over a symplectic basis (f_i), independent of the
-    choice of basis.
+    2x2 determinant of pairings, whose row (i, j) is g_i ^ g_j for the rows
+    g of the Gram matrix, corrected by the rank-one square of the
+    functional phi: v ^ w -> b(v, w).  The fixed vector is the invariant
+    wedge sum f_i ^ f_(2n+1-i) over a symplectic basis (f_i), independent of
+    the choice of basis.
     """
     m = a.dim
     if m < 4:
         raise ValueError(f"need dimension at least 4, got {m}")
     if not a.is_nondegenerate():
         raise ValueError("wedge square form requires a non-degenerate input space")
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    index = {p: k for k, p in enumerate(pairs)}
-    w = len(pairs)
-    wedge_u = wedge_matrix(a.u)
-    g = a.gram
+    offsets = _pair_offsets(m)
+    g = a.gram.rows
     phi = 0
-    for (i, j), col in index.items():
-        if g.entry(i, j):
-            phi |= 1 << col
-    g_rows = [0] * w
-    for (i, j), row in index.items():
-        acc = 0
-        for (k, l), col in index.items():
-            val = (g.entry(i, k) & g.entry(j, l)) ^ (g.entry(i, l) & g.entry(j, k))
-            if val:
-                acc |= 1 << col
-        if (phi >> row) & 1:
-            acc ^= phi
-        g_rows[row] = acc
+    for i in range(m):
+        phi ^= (g[i] >> (i + 1)) << offsets[i]
+    g_rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            row = _wedge(g[i], g[j], offsets)
+            g_rows.append(row ^ phi if (g[i] >> j) & 1 else row)
+    w = len(g_rows)
 
     basis = symplectic_basis(a.gram)
     beta = 0
     for i in range(m // 2):
-        beta ^= _wedge_vector(basis[i], basis[m - 1 - i], index)
-    return PointedSpace(BilinearSpace(wedge_u, Gf2Matrix(w, w, g_rows)), beta)
-
-
-def _wedge_vector(x: int, y: int, index: dict[tuple[int, int], int]) -> int:
-    """Coordinates of x ^ y in the e_i ^ e_j basis."""
-    acc = 0
-    for (i, j), col in index.items():
-        if (((x >> i) & (y >> j)) ^ ((x >> j) & (y >> i))) & 1:
-            acc |= 1 << col
-    return acc
+        beta ^= _wedge(basis[i], basis[m - 1 - i], offsets)
+    return PointedSpace(BilinearSpace(wedge_matrix(a.u), Gf2Matrix(w, w, g_rows)), beta)
 
 
 def jordan_of_space(a: BilinearSpace) -> JordanType:
     """Jordan type of the operator of a bilinear space."""
     return jordan_type_of(a.u)
+
+
+def _epsilon(a: BilinearSpace, xd1: list[int], kernel: list[int]) -> int:
+    """1 iff b(X^(d-1) v, v) != 0 for some v in Ker X^d.
+
+    xd1 holds the columns of X^(d-1) and kernel a basis of Ker X^d.
+    """
+    for v in kernel:
+        if a.form(_combine(xd1, v), v):
+            return 1
+    return 0
 
 
 def epsilon_of_space(a: BilinearSpace, d: int) -> int:
@@ -515,49 +530,18 @@ def epsilon_of_space(a: BilinearSpace, d: int) -> int:
         raise ValueError(f"size must be positive, got {d}")
     x = a.u.add(Gf2Matrix.identity(a.dim))
     xd1 = matrix_power(x, d - 1)
-    xd = xd1.mul(x)
-    for v in xd.kernel_basis():
-        if a.form(xd1.matvec(v), v):
-            return 1
-    return 0
+    return _epsilon(a, xd1.cols, xd1.mul(x).kernel_basis())
 
 
 def hesselink_of_space(a: BilinearSpace) -> EpsilonTaggedType:
-    """Tagged type of a bilinear space: Jordan type plus the eps tag per size."""
-    jt = jordan_type_of(a.u)
-    entries = tuple((d, m, epsilon_of_space(a, d)) for d, m in jt.blocks)
-    return EpsilonTaggedType(entries)
+    """Tagged type of a bilinear space: Jordan type plus the eps tag per size.
 
-
-class _Solver:
-    """Express vectors in a fixed independent spanning set over GF(2)."""
-
-    def __init__(self, vectors: list[int]):
-        self.pivots: dict[int, tuple[int, int]] = {}
-        for idx, v in enumerate(vectors):
-            w, comb = v, 1 << idx
-            while w:
-                b = (w & -w).bit_length() - 1
-                if b not in self.pivots:
-                    self.pivots[b] = (w, comb)
-                    break
-                pw, pcomb = self.pivots[b]
-                w ^= pw
-                comb ^= pcomb
-            else:
-                raise ValueError("vectors are linearly dependent")
-
-    def solve(self, x: int) -> int:
-        """Coefficient bitset c with XOR of chosen vectors = x."""
-        comb = 0
-        while x:
-            b = (x & -x).bit_length() - 1
-            if b not in self.pivots:
-                raise ValueError("vector outside the span")
-            pw, pcomb = self.pivots[b]
-            x ^= pw
-            comb ^= pcomb
-        return comb
+    One chain of powers of X = u - 1 gives the rank profile and, for each
+    size d, the X^(d-1) and Ker X^d of :func:`epsilon_of_space`.
+    """
+    powers, ranks, kernels = _power_chain(a.u)
+    jt = _jordan_from_ranks(ranks)
+    return EpsilonTaggedType(tuple((d, m, _epsilon(a, powers[d - 1], kernels[d])) for d, m in jt.blocks))
 
 
 def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
@@ -567,50 +551,40 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
     radical its perp is everything and only one dimension is lost; otherwise
     two.  The induced form is well defined because v pairs to zero with its
     own perp.
+
+    The perp is the kernel of f = G v.  With q the lowest bit of f, it has
+    the basis k_i = e_i + f_i e_q (i != q), or k_i = e_i when f = 0, and a
+    perp vector x has coordinate x_i on k_i.  For a bit p != q of v, the k_i
+    with i not in {p, q} span a complement of v, since
+    x = x_p v + sum of (x + x_p v)_i k_i.
     """
     if v == 0:
         raise ValueError("fixed vector must be nonzero")
     if a.u.matvec(v) != v:
         raise ValueError("vector is not fixed by the operator")
-    functional = a.gram.matvec(v)
     if a.form(v, v):
         raise ValueError("vector is not orthogonal to itself")
-    if functional == 0:
-        perp = [1 << i for i in range(a.dim)]
-    else:
-        perp = Gf2Matrix(1, a.dim, [functional]).kernel_basis()
-    # choose a complement of span(v) inside the perp
-    pivots: dict[int, int] = {(v & -v).bit_length() - 1: v}
-    chosen = []
-    for cand in perp:
-        w = cand
-        while w:
-            b = (w & -w).bit_length() - 1
-            if b not in pivots:
-                pivots[b] = w
-                chosen.append(cand)
-                break
-            w ^= pivots[b]
-    if len(chosen) != len(perp) - 1:
+    f = a.gram.matvec(v)
+    fq = f & -f
+    rest = v & ~fq
+    if not rest:
         raise RuntimeError("fixed vector should lie in its own perp")
-    solver = _Solver([v] + chosen)
-    k = len(chosen)
-    u_rows = [0] * k
-    for col, bvec in enumerate(chosen):
-        img = a.u.matvec(bvec)
-        comb = solver.solve(img) >> 1  # drop the v coefficient
-        for row in range(k):
-            if (comb >> row) & 1:
-                u_rows[row] |= 1 << col
-    g_rows = []
-    grams = [a.gram.matvec(b) for b in chosen]
-    for i in range(k):
-        acc = 0
-        for j in range(k):
-            if (chosen[i] & grams[j]).bit_count() & 1:
-                acc |= 1 << j
-        g_rows.append(acc)
-    return BilinearSpace(Gf2Matrix(k, k, u_rows), Gf2Matrix(k, k, g_rows))
+    p = (rest & -rest).bit_length() - 1
+    dropped = sorted({p, fq.bit_length() - 1} - {-1}, reverse=True)
+
+    def coords(x: int) -> int:
+        if (x >> p) & 1:
+            x ^= v
+        for b in dropped:
+            x = (x & ((1 << b) - 1)) | (x >> (b + 1) << b)
+        return x
+
+    basis = [(1 << i) | (fq if (f >> i) & 1 else 0) for i in range(a.dim) if i not in dropped]
+    k = len(basis)
+    u = Gf2Matrix.from_columns(k, [coords(a.u.matvec(b)) for b in basis])
+    inclusion = Gf2Matrix(k, a.dim, basis)
+    gram = inclusion.mul(a.gram).mul(inclusion.transpose())
+    return BilinearSpace(u, gram)
 
 
 def restricted_space(a: BilinearSpace, alpha: int) -> BilinearSpace:
@@ -638,9 +612,7 @@ def induced_space(a: BilinearSpace, alpha: int) -> BilinearSpace:
             rows[(blk + 1) * d + i] |= 1 << (blk * d + i)
     for i in range(d):
         # last block maps into block 0 through the original operator
-        for j in range(d):
-            if a.u.entry(i, j):
-                rows[i] |= 1 << ((q - 1) * d + j)
+        rows[i] |= a.u.rows[i] << ((q - 1) * d)
     u = Gf2Matrix(dim, dim, rows)
     gram = _block_diag([a.gram] * q)
     return BilinearSpace(u, gram)

@@ -71,8 +71,9 @@ class TestTable:
         assert code == 0
         assert out.strip() == "(2) | (2_1^2) | (2_1)"
 
-    def test_bad_range(self, capsys):
-        code, _, err = run(capsys, "table", "A", "x..y")
+    @pytest.mark.parametrize("text", ["x..y", "3..2"])
+    def test_bad_range(self, capsys, text):
+        code, _, err = run(capsys, "table", "A", text)
         assert code == 2
         assert "range" in err
 

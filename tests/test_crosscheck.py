@@ -3,6 +3,9 @@
 import multiprocessing
 import os
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sp2forms.crosscheck import (
     check_linear_instance,
     check_symplectic_instance,
@@ -10,6 +13,19 @@ from sp2forms.crosscheck import (
     run_crosscheck,
     sweep_tasks,
 )
+from sp2forms.hesselink import orthogonal_sum, vtype, wtype
+
+
+@st.composite
+def large_symplectic_classes(draw):
+    """Symplectic classes of dimension 20 to 40, as sums of V(2d) and W(d) summands of dimension 2d."""
+    remaining = draw(st.integers(min_value=10, max_value=20))
+    pieces = []
+    while remaining:
+        d = draw(st.integers(min_value=1, max_value=remaining))
+        pieces.append(vtype(2 * d) if draw(st.booleans()) else wtype(d))
+        remaining -= d
+    return orthogonal_sum(*pieces)
 
 
 def test_single_instances_clean():
@@ -26,6 +42,20 @@ def test_small_sweep_passes():
     assert report.ok, report.mismatches + report.parity_violations
     assert report.symplectic_checked == sum(1 for k, _ in sweep_tasks(8, 5) if k == "sp")
     assert report.linear_checked == sum(1 for k, _ in sweep_tasks(8, 5) if k == "sl")
+
+
+def test_sweep_to_dim_18_passes():
+    report = run_crosscheck(max_dim=18, max_n=10, jobs=1)
+    assert report.ok, report.mismatches + report.parity_violations
+    assert (report.symplectic_checked, report.linear_checked) == (574, 137)
+
+
+@given(large_symplectic_classes())
+@settings(max_examples=15, deadline=None)
+def test_large_symplectic_classes_match_oracle(s):
+    assert 20 <= s.dimension() <= 40
+    _, mismatches, parity = check_symplectic_instance(str(s))
+    assert mismatches == [] and parity == []
 
 
 def test_parallel_sweep_matches_serial():

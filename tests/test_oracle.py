@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sp2forms.enumeration import jordan_types
+from sp2forms.enumeration import jordan_types, symplectic_types
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, vtype, wtype
 from sp2forms.jordan import JordanType, restrict_power, tensor, wedge_square
 from sp2forms.oracle import (
@@ -34,8 +34,62 @@ S = SymplecticType.parse
 E = EpsilonTaggedType.parse
 
 
-def _random_matrix(rng, n):
-    return Gf2Matrix(n, n, (rng.getrandbits(n) for _ in range(n)))
+def _random_matrix(rng, n, ncols=None):
+    ncols = n if ncols is None else ncols
+    return Gf2Matrix(n, ncols, (rng.getrandbits(ncols) for _ in range(n)))
+
+
+# Entry-by-entry definitions of the wedge square, kept as the reference for
+# the column-wise construction in sp2forms.oracle.
+
+
+def _pair_index(m):
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return {p: k for k, p in enumerate(pairs)}
+
+
+def _reference_wedge_matrix(u):
+    """(u ^ u)[(k, l), (i, j)] = u_ki u_lj + u_li u_kj."""
+    index = _pair_index(u.nrows)
+    rows = [0] * len(index)
+    for (i, j), col in index.items():
+        for (k, l), row in index.items():
+            if (u.entry(k, i) & u.entry(l, j)) ^ (u.entry(l, i) & u.entry(k, j)):
+                rows[row] |= 1 << col
+    return Gf2Matrix(len(index), len(index), rows)
+
+
+def _reference_wedge_vector(x, y, index):
+    acc = 0
+    for (i, j), col in index.items():
+        if (((x >> i) & (y >> j)) ^ ((x >> j) & (y >> i))) & 1:
+            acc |= 1 << col
+    return acc
+
+
+def _reference_wedge_space(a):
+    """Gram entry g_ik g_jl + g_il g_jk plus phi_ij phi_kl, with phi_ij = g_ij."""
+    m = a.dim
+    index = _pair_index(m)
+    g = a.gram
+    phi = 0
+    for (i, j), col in index.items():
+        if g.entry(i, j):
+            phi |= 1 << col
+    g_rows = [0] * len(index)
+    for (i, j), row in index.items():
+        acc = 0
+        for (k, l), col in index.items():
+            if (g.entry(i, k) & g.entry(j, l)) ^ (g.entry(i, l) & g.entry(j, k)):
+                acc |= 1 << col
+        if (phi >> row) & 1:
+            acc ^= phi
+        g_rows[row] = acc
+    basis = symplectic_basis(g)
+    beta = 0
+    for i in range(m // 2):
+        beta ^= _reference_wedge_vector(basis[i], basis[m - 1 - i], index)
+    return _reference_wedge_matrix(a.u), Gf2Matrix(len(index), len(index), g_rows), beta
 
 
 class TestGf2Matrix:
@@ -88,13 +142,25 @@ class TestGf2Matrix:
 
     def test_matvec_matches_mul(self):
         rng = random.Random(5)
-        m = _random_matrix(rng, 9)
-        for _ in range(10):
-            v = rng.getrandbits(9)
-            col = Gf2Matrix(9, 1, ((v >> i) & 1 for i in range(9)))
-            want = m.mul(col)
-            got = m.matvec(v)
-            assert all(((got >> i) & 1) == want.entry(i, 0) for i in range(9))
+        for nrows, ncols in ((9, 9), (5, 9), (9, 5), (1, 7), (7, 1)):
+            m = _random_matrix(rng, nrows, ncols)
+            assert m.cols == m.transpose().rows
+            assert Gf2Matrix.from_columns(nrows, m.cols) == m
+            for _ in range(10):
+                v = rng.getrandbits(ncols)
+                col = Gf2Matrix(ncols, 1, ((v >> i) & 1 for i in range(ncols)))
+                want = m.mul(col)
+                got = m.matvec(v)
+                assert all(((got >> i) & 1) == want.entry(i, 0) for i in range(nrows))
+                # bits past the last column select nothing
+                assert m.matvec(v | 1 << ncols) == got
+
+    def test_row_range_check(self):
+        for rows in ([0, 8], [0, -1]):
+            with pytest.raises(ValueError):
+                Gf2Matrix(2, 3, rows)
+        with pytest.raises(ValueError):
+            Gf2Matrix.from_columns(2, [1, 4])
 
     def test_ascii_grid(self):
         assert jordan_block_matrix(2).ascii_grid() == "11\n01"
@@ -109,6 +175,23 @@ class TestGf2Matrix:
         m = Gf2Matrix.from_lists([[0, 1], [1, 1]])  # order 3, not unipotent
         with pytest.raises(ValueError):
             jordan_type_of(m)
+        # it has determinant 1, so it preserves the hyperbolic plane's form
+        with pytest.raises(ValueError):
+            hesselink_of_space(BilinearSpace(m, build_w(1).gram))
+
+
+class TestBilinearSpaceChecks:
+    @pytest.mark.parametrize(
+        "u,gram,message",
+        [
+            ([[1, 0], [0, 1]], [[0, 1], [0, 0]], "symmetric"),
+            ([[1, 0], [0, 1]], [[1, 1], [1, 0]], "zero diagonal"),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]], "invariant"),
+        ],
+    )
+    def test_rejected(self, u, gram, message):
+        with pytest.raises(ValueError, match=message):
+            BilinearSpace(Gf2Matrix.from_lists(u), Gf2Matrix.from_lists(gram))
 
 
 class TestBuilders:
@@ -170,6 +253,13 @@ class TestEpsilonFunctional:
                         if rng.random() < 0.5:
                             cw ^= k
                     assert f(cv ^ cw) == (f(cv) + f(cw)) % 2
+
+    def test_shared_power_chain_matches_per_size_definition(self):
+        spaces = [space_from_type(s) for dim in range(2, 13, 2) for s in symplectic_types(dim)]
+        spaces += [dual_tensor_space(unipotent_from_jordan(j)).space for n in range(2, 7) for j in jordan_types(n)]
+        for a in spaces:
+            want = tuple((d, m, epsilon_of_space(a, d)) for d, m in jordan_type_of(a.u).blocks)
+            assert hesselink_of_space(a).entries == want, a.ascii_grids()
 
     @pytest.mark.parametrize(
         "space,d,want",
@@ -239,6 +329,16 @@ class TestWedgeSpace:
         deg = BilinearSpace(Gf2Matrix.identity(4), Gf2Matrix.zero(4, 4))
         with pytest.raises(ValueError):
             wedge_space(deg)
+
+    def test_matches_entrywise_reference(self):
+        for dim in range(4, 11, 2):
+            for s in symplectic_types(dim):
+                space, fixed = wedge_space(space_from_type(s))
+                assert (space.u, space.gram, fixed) == _reference_wedge_space(space_from_type(s)), s
+        for n in range(1, 9):
+            for j in jordan_types(n):
+                u = unipotent_from_jordan(j)
+                assert wedge_matrix(u) == _reference_wedge_matrix(u), j
 
     def test_symplectic_basis(self):
         rng = random.Random(23)
