@@ -2,25 +2,22 @@
 
 A unipotent symplectic class is *distinguished* (centralizer containing no
 non-trivial torus) exactly when its tagged type has every size even, every
-multiplicity at most two, and every tag set.  The sweeps below enumerate all
+multiplicity at most two, and every tag set.  The sweeps below cover all
 classes up to a bound and confirm that the images under the dual-tensor,
 bilinear-tensor and wedge-square constructions are distinguished precisely
-for the expected short lists of inputs.
+for the expected short lists of inputs.  They do so with one pruned search
+(:func:`_search`): a class is only handed to the rules engine when the
+Jordan type of its image passes a necessary condition, and every class cut
+off by the search is still counted as checked.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import takewhile
+from typing import Callable
 
-from .enumeration import (
-    epsilon_variants,
-    free_sizes,
-    jordan_types,
-    symplectic_partitions,
-    symplectic_types,
-)
+from .enumeration import Partition, count_classes, epsilon_variants, symplectic_partitions
 from .hesselink import (
     EpsilonTaggedType,
     SymplecticConstraintError,
@@ -30,8 +27,10 @@ from .hesselink import (
     validate_symplectic,
     vtype,
 )
-from .jordan import JordanType, wedge_square
+from .jordan import JordanType, _tensor_blocks, _wedge_block
 from .reps import dual_tensor_classes, wedge_square_classes
+
+Square = dict[int, int]  # Jordan multiplicities of a tensor, wedge or product square
 
 
 def is_distinguished(t: EpsilonTaggedType) -> bool:
@@ -49,10 +48,16 @@ def is_distinguished(t: EpsilonTaggedType) -> bool:
 
 @dataclass
 class SweepReport:
-    """Result of one verification sweep."""
+    """Result of one verification sweep.
+
+    ``checked`` counts every class (or pair) the sweep covers, including
+    those its search rules out without generating them; ``evaluated`` counts
+    the ones actually passed to the rules engine.
+    """
 
     name: str
     checked: int = 0
+    evaluated: int = 0
     hits: list[str] = field(default_factory=list)
     counterexamples: list[str] = field(default_factory=list)
     elapsed: float = 0.0
@@ -65,6 +70,7 @@ class SweepReport:
         return {
             "name": self.name,
             "checked": self.checked,
+            "evaluated": self.evaluated,
             "distinguished_inputs": self.hits,
             "counterexamples": self.counterexamples,
             "elapsed_seconds": self.elapsed,
@@ -74,82 +80,271 @@ class SweepReport:
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return (
-            f"{status} {self.name}: {self.checked} checked, "
+            f"{status} {self.name}: {self.checked} checked, {self.evaluated} evaluated, "
             f"{len(self.hits)} distinguished, {len(self.counterexamples)} counterexamples, "
             f"{self.elapsed:.2f}s"
         )
 
 
+def _repro(command: str, *args) -> str:
+    """Suffix for a counterexample line: the command that reproduces it."""
+    return "; run: sp2forms " + " ".join([command, *map(str, args)])
+
+
+# --- the pruned search -------------------------------------------------------
+
+
+def _accumulate(out: Square, blocks: tuple[tuple[int, int], ...], k: int) -> None:
+    for d, c in blocks:
+        out[d] = out.get(d, 0) + k * c
+
+
+def _grow_tensor_square(square: Square, prefix: list[tuple[int, int]], d: int, m: int) -> Square:
+    """(P + m.d) x (P + m.d) = P x P + m^2 (d x d) + 2m (P x d)."""
+    out = dict(square)
+    _accumulate(out, _tensor_blocks(d, d), m * m)
+    for e, c in prefix:
+        _accumulate(out, _tensor_blocks(e, d), 2 * c * m)
+    return out
+
+
+def _grow_wedge_square(square: Square, prefix: list[tuple[int, int]], d: int, m: int) -> Square:
+    """wedge^2(P + m.d) = wedge^2 P + m wedge^2 d + C(m, 2) (d x d) + m (P x d)."""
+    out = dict(square)
+    _accumulate(out, _wedge_block(d), m)
+    if m > 1:
+        _accumulate(out, _tensor_blocks(d, d), m * (m - 1) // 2)
+    for e, c in prefix:
+        _accumulate(out, _tensor_blocks(e, d), c * m)
+    return out
+
+
+def _grow_product(factor: Partition):
+    """Grower of J x P for a fixed first factor J: J x (P + m.d) = J x P + m (J x d)."""
+
+    def grow(square: Square, prefix: list[tuple[int, int]], d: int, m: int) -> Square:
+        out = dict(square)
+        for e, c in factor:
+            _accumulate(out, _tensor_blocks(e, d), c * m)
+        return out
+
+    return grow
+
+
+def _within_subquotient_reach(square: Square) -> bool:
+    """Necessary condition for a square or its subquotient to be distinguished.
+
+    Fails when size 1 has multiplicity above two, when an odd size above one
+    is present, when two sizes have multiplicity above two, when a
+    multiplicity exceeds four, or when the one size of multiplicity above
+    two is not a power of two.  A distinguished class has even sizes of
+    multiplicity at most two, and the subquotient
+    (``reps._subquotient_multiplicities``) removes at most two blocks, all
+    of size 1 or all of one size 2^alpha, and otherwise only adds blocks;
+    so the square of any input with a distinguished full square or
+    subquotient passes.  Each failure is upward-closed: it stays a failure
+    when multiplicities grow or sizes are added.
+    """
+    over = 0
+    for d, m in square.items():
+        if d == 1:
+            if m > 2:
+                return False
+        elif d % 2:
+            return False
+        elif m > 2:
+            if over or m > 4 or d & (d - 1):
+                return False
+            over = d
+    return True
+
+
+def _all_even_at_most_two(square: Square) -> bool:
+    """The Jordan shape of a distinguished class: every size even, every multiplicity at most two."""
+    return all(d % 2 == 0 and m <= 2 for d, m in square.items())
+
+
+def _search(
+    dim: int,
+    grow: Callable[[Square, list[tuple[int, int]], int, int], Square],
+    keep: Callable[[Square], bool],
+    symplectic: bool = False,
+    least_top: int = 1,
+) -> tuple[list[tuple[Partition, Square]], int]:
+    """Depth-first search over the partitions of dim, pruned by a monotone rule.
+
+    A node is a prefix P: the parts of size at least d, as (size,
+    multiplicity) pairs, largest first.  Its children append m blocks of a
+    smaller size, sizes from high to low and each multiplicity from high to
+    low, so the leaves come in the reverse-lexicographic table order of
+    :func:`enumeration.partitions`.  With ``symplectic`` an odd size only
+    takes even multiplicities, which gives the order of
+    :func:`enumeration.symplectic_partitions`.  The largest part is at least
+    ``least_top``.
+
+    ``grow(square, P, d, m)`` turns the multiplicities of the square of P
+    into those of the square of P + m.d; ``keep`` is a necessary condition
+    that the square of a completed partition must meet for the partition to
+    be worth evaluating.  A child failing ``keep`` is dropped together with
+    its whole subtree.
+
+    Why this is sound.  Every completion Q = P + R of a prefix P has a
+    square containing the square of P as a sub-multiset, because
+
+        (P + R) x (P + R) = P x P + R x R + 2 (P x R),
+        wedge^2 (P + R) = wedge^2 P + wedge^2 R + P x R,
+        J x (P + R) = J x P + J x R.
+
+    Each ``keep`` rule used by the sweeps fails on a multiset whenever it
+    fails on a sub-multiset of it: the rules only bound multiplicities from
+    above and forbid sizes (see :func:`_within_subquotient_reach` and
+    :func:`_all_even_at_most_two`).  So when ``keep`` fails at a node it
+    fails at every leaf below it, and every class at those leaves would have
+    been rejected.  By the same argument, once m blocks of size d fail, so
+    do m + 1, and the larger multiplicities are never grown.
+
+    Pruned subtrees are counted, not generated.  The leaves below the child
+    P + m.d are its completions by parts smaller than d, of total
+    ``rest - m*d``; there are ``count_classes(rest - m*d, d)`` of them, and
+    with ``symplectic`` each class count is multiplied by 2 for every free
+    tag (an even size of even multiplicity) already in the prefix, since
+    tags of different sizes are chosen independently.
+
+    Returns the surviving partitions (ascending multiplicity form, in table
+    order), each with its square, and the number of classes pruned.
+    """
+    leaves: list[tuple[Partition, Square]] = []
+    pruned = 0
+
+    def visit(prefix: list[tuple[int, int]], square: Square, rest: int, free: int) -> None:
+        nonlocal pruned
+        if rest == 0:
+            leaves.append((tuple(reversed(prefix)), square))
+            return
+        below = prefix[-1][0] if prefix else rest + 1
+        least = 1 if prefix else least_top
+        for d in range(min(below - 1, rest), least - 1, -1):
+            kept: list[Square] = []  # kept[m - 1] is the square with m blocks of size d
+            for m in range(1, rest // d + 1):
+                child = grow(square, prefix, d, m)
+                if not keep(child):
+                    break
+                kept.append(child)
+            for m in range(rest // d, 0, -1):
+                if symplectic and d % 2 and m % 2:
+                    continue
+                tags = free + (symplectic and d % 2 == 0 and m % 2 == 0)
+                if m > len(kept):
+                    pruned += count_classes(rest - m * d, d, symplectic) << tags
+                else:
+                    visit(prefix + [(d, m)], kept[m - 1], rest - m * d, tags)
+
+    visit([], {}, dim, 0)
+    return leaves, pruned
+
+
+# --- the sweeps --------------------------------------------------------------
+
+
+def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanType]) -> SweepReport:
+    """Sweep every Jordan type of dimension 2..max_n through dual_tensor_classes.
+
+    ``part`` names the output class tested: ``tensor_space`` or
+    ``irreducible``.  Both are covered by :func:`_within_subquotient_reach`
+    on the tensor square.
+    """
+    report = SweepReport(name=name)
+    start = time.perf_counter()
+    seen = set()
+    for n in range(2, max_n + 1):
+        leaves, pruned = _search(n, _grow_tensor_square, _within_subquotient_reach)
+        report.checked += pruned
+        for p, _ in leaves:
+            j = JordanType(p)
+            report.checked += 1
+            report.evaluated += 1
+            got = is_distinguished(getattr(dual_tensor_classes(j), part))
+            want = j in expected
+            if got:
+                seen.add(j)
+                report.hits.append(str(j))
+            if got != want:
+                report.counterexamples.append(f"{j}: distinguished={got}, expected={want}{_repro('thmA', j)}")
+    for j in expected:
+        if j not in seen:
+            report.counterexamples.append(f"{j}: expected distinguished, not seen{_repro('thmA', j)}")
+    report.elapsed = time.perf_counter() - start
+    return report
+
+
 def verify_prop_A_tensor(max_n: int) -> SweepReport:
     """The dual tensor square is distinguished only for a single 2-block.
 
-    Sweeps every Jordan type of dimension 2..max_n.
+    Covers every Jordan type of dimension 2..max_n.
     """
-    report = SweepReport(name="dual-tensor-distinguished")
-    start = time.perf_counter()
-    single2 = JordanType(((2, 1),))
-    for n in range(2, max_n + 1):
-        for j in jordan_types(n):
-            report.checked += 1
-            got = is_distinguished(dual_tensor_classes(j).tensor_space)
-            expected = j == single2
-            if got:
-                report.hits.append(str(j))
-            if got != expected:
-                report.counterexamples.append(f"{j}: distinguished={got}, expected={expected}")
-    report.elapsed = time.perf_counter() - start
-    return report
+    expected = [JordanType(((2, 1),))] if max_n >= 2 else []
+    return _dual_tensor_sweep("dual-tensor-distinguished", max_n, "tensor_space", expected)
 
 
 def verify_prop_A_irr(max_n: int) -> SweepReport:
     """The irreducible subquotient is distinguished only for single blocks of size 2, 3, 5."""
-    report = SweepReport(name="dual-irreducible-distinguished")
-    start = time.perf_counter()
-    for n in range(2, max_n + 1):
-        for j in jordan_types(n):
-            report.checked += 1
-            got = is_distinguished(dual_tensor_classes(j).irreducible)
-            expected = j == JordanType(((n, 1),)) and n in (2, 3, 5)
-            if got:
-                report.hits.append(str(j))
-            if got != expected:
-                report.counterexamples.append(f"{j}: distinguished={got}, expected={expected}")
-    report.elapsed = time.perf_counter() - start
-    return report
+    expected = [JordanType(((n, 1),)) for n in (2, 3, 5) if n <= max_n]
+    return _dual_tensor_sweep("dual-irreducible-distinguished", max_n, "irreducible", expected)
 
 
-def _is_odd_single_tagged_sum(s: SymplecticType) -> bool:
-    """True for orthogonal sums of distinct tagged blocks V(2k) with k odd."""
-    return all(e == 1 and m == 1 and (d // 2) % 2 == 1 for d, m, e in s.entries)
+def _odd_single_tagged_sums(max_dim: int) -> list[SymplecticType]:
+    """Orthogonal sums of distinct tagged blocks V(2k), k odd, of dimension at most max_dim."""
+    out = []
+
+    def extend(entries: tuple[tuple[int, int, int], ...], total: int, size: int) -> None:
+        for d in range(size, max_dim - total + 1, 4):
+            grown = entries + ((d, 1, 1),)
+            out.append(SymplecticType(grown))
+            extend(grown, total + d, d + 4)
+
+    extend((), 0, 2)
+    return out
 
 
 def verify_prop_tensor(max_dim: int) -> SweepReport:
     """Products of two classes are distinguished exactly in the V(2) x odd-sum family.
 
-    Sweeps unordered pairs with both dimensions at least 2 and product
-    dimension at most max_dim.
+    Covers unordered pairs with both dimensions at least 2 and product
+    dimension at most max_dim.  For each first factor the second is found by
+    :func:`_search` on the product's Jordan type, which a distinguished
+    product must give every size even and multiplicity at most two.
     """
     report = SweepReport(name="bilinear-tensor-distinguished")
     start = time.perf_counter()
     v2 = vtype(2)
-    by_dim: dict[int, list[SymplecticType]] = {}
-    for dim in range(2, max_dim // 2 + 1, 2):
-        by_dim[dim] = list(symplectic_types(dim))
-    for dim1 in sorted(by_dim):
-        for dim2 in sorted(by_dim):
-            if dim2 < dim1 or dim1 * dim2 > max_dim:
-                continue
-            for s1 in by_dim[dim1]:
-                for s2 in by_dim[dim2]:
-                    report.checked += 1
-                    got = is_distinguished(tensor_bilinear(s1, s2))
-                    expected = (s1 == v2 and _is_odd_single_tagged_sum(s2)) or (
-                        s2 == v2 and _is_odd_single_tagged_sum(s1)
-                    )
-                    if got:
-                        report.hits.append(f"{s1} x {s2}")
-                    if got != expected:
-                        report.counterexamples.append(f"{s1} x {s2}: distinguished={got}, expected={expected}")
+    expected = [(v2, s) for s in _odd_single_tagged_sums(max_dim // 2)]
+    wanted = set(expected)
+    seen = set()
+    for dim1 in range(2, max_dim // 2 + 1, 2):
+        for dim2 in range(dim1, max_dim // dim1 + 1, 2):
+            for p1 in symplectic_partitions(dim1):
+                leaves, pruned = _search(dim2, _grow_product(p1), _all_even_at_most_two, symplectic=True)
+                for s1 in epsilon_variants(p1):
+                    report.checked += pruned
+                    for p2, _ in leaves:
+                        for s2 in epsilon_variants(p2):
+                            report.checked += 1
+                            report.evaluated += 1
+                            got = is_distinguished(tensor_bilinear(s1, s2))
+                            want = (s1, s2) in wanted
+                            if got:
+                                seen.add((s1, s2))
+                                report.hits.append(f"{s1} x {s2}")
+                            if got != want:
+                                report.counterexamples.append(
+                                    f"{s1} x {s2}: distinguished={got}, expected={want}"
+                                    f"{_repro('tensor-bilinear', s1, s2)}"
+                                )
+    for s1, s2 in expected:
+        if (s1, s2) not in seen:
+            report.counterexamples.append(
+                f"{s1} x {s2}: expected distinguished, not seen{_repro('tensor-bilinear', s1, s2)}"
+            )
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -173,85 +368,47 @@ def _max_part_bound(dim: int) -> int:
     return max(1, d - 2)
 
 
-def _wedge_precheck(j: JordanType) -> bool:
-    """Cheap necessary condition for any tag variant to survive the sweep.
-
-    The subquotient rules change multiplicities by at most two at a single
-    power-of-two size and remove at most two size-1 blocks; odd sizes above 1
-    are never removed.  A wedge Jordan type violating these bounds cannot
-    yield a distinguished class for any tags, so its variants are skipped.
-    """
-    lam = wedge_square(j)
-    over = []
-    for d, m in lam.blocks:
-        if d == 1:
-            if m > 2:
-                return False
-            continue
-        if d % 2:
-            return False
-        if m > 2:
-            over.append((d, m))
-    if not over:
-        return True
-    if len(over) > 1:
-        return False
-    d, m = over[0]
-    return m <= 4 and d & (d - 1) == 0
-
-
 def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
     """Wedge squares are distinguished only for V(4); subquotients for the {2,3,5}/{2,6} lists.
 
-    Sweeps every symplectic class of dimension 4..2*max_n.  Two sound
-    reductions keep large sweeps fast: classes whose largest block falls
-    below the dimension threshold of :func:`_max_part_bound` cannot produce
-    small multiplicities and are skipped without being generated, and a
-    Jordan-level precheck skips the tag variants of a partition whose wedge
-    multiplicities are already too large.  ``exhaustive=True`` disables the
-    first reduction (every class is generated and counted); the answers are
-    identical.  The expected classes must show up as hits, so a bug in either
-    reduction would surface as a counterexample.
+    Covers every symplectic class of dimension 4..2*max_n with
+    :func:`_search` on the wedge square.  Unless ``exhaustive``, classes
+    whose largest block falls below the dimension threshold of
+    :func:`_max_part_bound` are neither generated nor counted; the answers
+    are identical.  The expected classes must show up as hits, so a bug in
+    either reduction would surface as a counterexample.
     """
     report = SweepReport(name="wedge-distinguished")
     start = time.perf_counter()
     for n in range(2, max_n + 1):
-        expected_wedge = {vtype(4)} if n == 2 else set()
-        expected_irr = set()
+        expected_wedge = [vtype(4)] if n == 2 else []
+        expected_irr = []
         if n in (2, 3, 5):
-            expected_irr.add(vtype(2 * n))
+            expected_irr.append(vtype(2 * n))
         if n in (2, 6):
-            expected_irr.add(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
-        seen_wedge = set()
-        seen_irr = set()
-        source = symplectic_partitions(2 * n)
-        if not exhaustive:
-            # reverse-lex order yields every partition with a large enough
-            # largest part before the first one below the bound
-            bound = _max_part_bound(2 * n)
-            source = takewhile(lambda p: p[-1][0] >= bound, source)
-        for p in source:
-            if not _wedge_precheck(JordanType(p)):
-                report.checked += 1 << len(free_sizes(p))
-                continue
+            expected_irr.append(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
+        seen = set()
+        least = 1 if exhaustive else _max_part_bound(2 * n)
+        leaves, pruned = _search(2 * n, _grow_wedge_square, _within_subquotient_reach, True, least)
+        report.checked += pruned
+        for p, _ in leaves:
             for s in epsilon_variants(p):
                 report.checked += 1
+                report.evaluated += 1
                 out = wedge_square_classes(s)
-                got_wedge = is_distinguished(out.wedge_space)
-                got_irr = is_distinguished(out.irreducible)
-                if got_wedge:
-                    seen_wedge.add(s)
-                    report.hits.append(f"wedge {s}")
-                if got_irr:
-                    seen_irr.add(s)
-                    report.hits.append(f"irr {s}")
-                if got_wedge != (s in expected_wedge):
-                    report.counterexamples.append(f"wedge {s}: distinguished={got_wedge}")
-                if got_irr != (s in expected_irr):
-                    report.counterexamples.append(f"irr {s}: distinguished={got_irr}")
-        for missing in expected_wedge - seen_wedge:
-            report.counterexamples.append(f"wedge {missing}: expected distinguished, not seen")
-        for missing in expected_irr - seen_irr:
-            report.counterexamples.append(f"irr {missing}: expected distinguished, not seen")
+                for kind, image, expected in (
+                    ("wedge", out.wedge_space, expected_wedge),
+                    ("irr", out.irreducible, expected_irr),
+                ):
+                    got = is_distinguished(image)
+                    if got:
+                        seen.add((kind, s))
+                        report.hits.append(f"{kind} {s}")
+                    if got != (s in expected):
+                        report.counterexamples.append(f"{kind} {s}: distinguished={got}{_repro('thmC', s)}")
+        for kind, expected in (("wedge", expected_wedge), ("irr", expected_irr)):
+            for s in expected:
+                if (kind, s) not in seen:
+                    report.counterexamples.append(f"{kind} {s}: expected distinguished, not seen{_repro('thmC', s)}")
     report.elapsed = time.perf_counter() - start
     return report

@@ -9,6 +9,7 @@ tagged choice first.  Partitions are in multiplicity form, ascending
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -78,6 +79,31 @@ def epsilon_variants(p: Partition) -> Iterator[SymplecticType]:
     for choice in product((1, 0), repeat=len(free)):
         tags = dict(zip(free, choice))
         yield SymplecticType(tuple((d, m, tags.get(d, 1 - d % 2)) for d, m in p))
+
+
+@lru_cache(maxsize=None)
+def count_classes(dim: int, below: int, symplectic: bool = False) -> int:
+    """Number of classes of dimension dim whose parts are all smaller than below.
+
+    Plain classes are the partitions yielded by :func:`partitions`.  With
+    ``symplectic=True`` they are the classes of :func:`symplectic_types`: the
+    partitions of :func:`symplectic_partitions`, each counted once per tag
+    choice, so 2^(number of free sizes) times.  Sweeps use this to count a
+    whole subtree of the search without generating it.  The recursion goes
+    one part size down per level, so its depth is at most dim.
+    """
+    k = min(below - 1, dim)  # the largest admissible part
+    if dim == 0:
+        return 1
+    if k < 1:
+        return 0
+    total = 0
+    for m in range(dim // k + 1):
+        if symplectic and k % 2 and m % 2:
+            continue  # odd sizes need even multiplicity
+        weight = 2 if symplectic and m and m % 2 == 0 and k % 2 == 0 else 1  # a free tag
+        total += weight * count_classes(dim - k * m, k, symplectic)
+    return total
 
 
 def symplectic_types(

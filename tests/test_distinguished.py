@@ -1,16 +1,37 @@
 """Tests for the distinguished-class predicate and verification sweeps."""
 
+from itertools import takewhile
+
 import pytest
 
+from sp2forms import distinguished
 from sp2forms.distinguished import (
+    _all_even_at_most_two,
+    _grow_product,
+    _grow_tensor_square,
+    _grow_wedge_square,
     _max_part_bound,
+    _odd_single_tagged_sums,
+    _repro,
+    _search,
+    _within_subquotient_reach,
     is_distinguished,
     verify_prop_A_irr,
     verify_prop_A_tensor,
     verify_prop_C,
     verify_prop_tensor,
 )
-from sp2forms.hesselink import EpsilonTaggedType, SymplecticType
+from sp2forms.enumeration import (
+    count_classes,
+    epsilon_variants,
+    jordan_types,
+    partitions,
+    symplectic_partitions,
+    symplectic_types,
+)
+from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, orthogonal_sum, tensor_bilinear, vtype
+from sp2forms.jordan import JordanType, tensor, wedge_square
+from sp2forms.reps import dual_tensor_classes, wedge_square_classes
 
 E = EpsilonTaggedType.parse
 S = SymplecticType.parse
@@ -108,3 +129,260 @@ class TestSweeps:
         data = verify_prop_A_tensor(6).to_json()
         assert data["ok"] is True
         assert data["counterexamples"] == []
+
+    @pytest.mark.parametrize(
+        "sweep,args,evaluated",
+        [
+            (verify_prop_C, (6,), 12),
+            (verify_prop_C, (6, True), 12),
+            (verify_prop_C, (12,), 13),
+            (verify_prop_C, (12, True), 13),
+            (verify_prop_C, (22,), 13),
+            (verify_prop_A_tensor, (10,), 8),
+            (verify_prop_A_irr, (10,), 8),
+            (verify_prop_A_tensor, (22,), 8),
+            (verify_prop_A_irr, (22,), 8),
+            (verify_prop_tensor, (28,), 52),
+            (verify_prop_tensor, (44,), 171),
+        ],
+    )
+    def test_evaluated_counts(self, sweep, args, evaluated):
+        # only the classes the search cannot rule out reach the rules engine
+        report = sweep(*args)
+        assert report.evaluated == evaluated
+        assert report.to_json()["evaluated"] == evaluated
+        assert f"{report.checked} checked, {evaluated} evaluated" in report.summary()
+
+    def test_sweeps_to_100(self):
+        # the paper's lists hold far beyond the acceptance bounds
+        reports = [verify_prop_A_tensor(100), verify_prop_A_irr(100), verify_prop_C(100)]
+        assert all(r.ok for r in reports)
+        assert reports[0].hits == ["2"]
+        assert reports[1].hits == ["2", "3", "5"]
+        assert reports[2].hits == ["wedge 4_1", "irr 4_1", "irr 2_1^2", "irr 6_1", "irr 10_1", "irr 2_1,10_1"]
+
+    def test_missing_expected_hits_are_reported(self, monkeypatch):
+        # a sweep that sees none of its expected classes says so, with a command to rerun each
+        monkeypatch.setattr(distinguished, "is_distinguished", lambda t: False)
+
+        def not_seen(report):
+            return [line for line in report.counterexamples if "not seen" in line]
+
+        assert not_seen(verify_prop_A_tensor(6)) == ["2: expected distinguished, not seen; run: sp2forms thmA 2"]
+        assert not_seen(verify_prop_A_irr(6)) == [
+            f"{n}: expected distinguished, not seen; run: sp2forms thmA {n}" for n in (2, 3, 5)
+        ]
+        assert not_seen(verify_prop_tensor(12)) == [
+            "2_1 x 2_1: expected distinguished, not seen; run: sp2forms tensor-bilinear 2_1 2_1",
+            "2_1 x 6_1: expected distinguished, not seen; run: sp2forms tensor-bilinear 2_1 6_1",
+        ]
+        assert not_seen(verify_prop_C(6)) == [
+            "wedge 4_1: expected distinguished, not seen; run: sp2forms thmC 4_1",
+            "irr 4_1: expected distinguished, not seen; run: sp2forms thmC 4_1",
+            "irr 2_1^2: expected distinguished, not seen; run: sp2forms thmC 2_1^2",
+            "irr 6_1: expected distinguished, not seen; run: sp2forms thmC 6_1",
+            "irr 10_1: expected distinguished, not seen; run: sp2forms thmC 10_1",
+            "irr 2_1,10_1: expected distinguished, not seen; run: sp2forms thmC 2_1,10_1",
+        ]
+        # the evaluated ones are also reported as mismatches, with the same command
+        assert "2: distinguished=False, expected=True; run: sp2forms thmA 2" in verify_prop_A_tensor(6).counterexamples
+        assert "wedge 4_1: distinguished=False; run: sp2forms thmC 4_1" in verify_prop_C(2).counterexamples
+
+    def test_odd_single_tagged_sums(self):
+        family = {
+            s
+            for dim in range(2, 31, 2)
+            for s in symplectic_types(dim)
+            if all(e == 1 and m == 1 and (d // 2) % 2 == 1 for d, m, e in s.entries)
+        }
+        sums = _odd_single_tagged_sums(30)
+        assert len(sums) == len(family) and set(sums) == family
+
+
+# --- the pruned sweeps against exhaustive per-class references ---------------
+
+
+def _reference_dual(name, max_n, part, expected):
+    """Every Jordan type of dimension 2..max_n through dual_tensor_classes."""
+    report = distinguished.SweepReport(name=name)
+    seen = set()
+    for n in range(2, max_n + 1):
+        for j in jordan_types(n):
+            report.checked += 1
+            got = is_distinguished(getattr(dual_tensor_classes(j), part))
+            if got:
+                seen.add(j)
+                report.hits.append(str(j))
+            if got != (j in expected):
+                report.counterexamples.append(f"{j}: distinguished={got}, expected={j in expected}{_repro('thmA', j)}")
+    report.counterexamples += [
+        f"{j}: expected distinguished, not seen{_repro('thmA', j)}" for j in expected if j not in seen
+    ]
+    return report
+
+
+def _reference_tensor(max_dim):
+    """Every unordered pair of classes through tensor_bilinear."""
+    report = distinguished.SweepReport(name="bilinear-tensor-distinguished")
+    v2 = vtype(2)
+    by_dim = {dim: list(symplectic_types(dim)) for dim in range(2, max_dim // 2 + 1, 2)}
+    seen = set()
+
+    def odd_sum(s):
+        return all(e == 1 and m == 1 and (d // 2) % 2 == 1 for d, m, e in s.entries)
+
+    for dim1 in sorted(by_dim):
+        for dim2 in sorted(by_dim):
+            if dim2 < dim1 or dim1 * dim2 > max_dim:
+                continue
+            for s1 in by_dim[dim1]:
+                for s2 in by_dim[dim2]:
+                    report.checked += 1
+                    got = is_distinguished(tensor_bilinear(s1, s2))
+                    want = (s1 == v2 and odd_sum(s2)) or (s2 == v2 and odd_sum(s1))
+                    if got:
+                        seen.add((s1, s2))
+                        report.hits.append(f"{s1} x {s2}")
+                    if got != want:
+                        report.counterexamples.append(
+                            f"{s1} x {s2}: distinguished={got}, expected={want}{_repro('tensor-bilinear', s1, s2)}"
+                        )
+    report.counterexamples += [
+        f"{v2} x {s}: expected distinguished, not seen{_repro('tensor-bilinear', v2, s)}"
+        for s in _odd_single_tagged_sums(max_dim // 2)
+        if (v2, s) not in seen
+    ]
+    return report
+
+
+def _reference_C(max_n, exhaustive):
+    """Every symplectic class of dimension 4..2*max_n through wedge_square_classes."""
+    report = distinguished.SweepReport(name="wedge-distinguished")
+    for n in range(2, max_n + 1):
+        expected_wedge = [vtype(4)] if n == 2 else []
+        expected_irr = [vtype(2 * n)] if n in (2, 3, 5) else []
+        if n in (2, 6):
+            expected_irr.append(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
+        seen = set()
+        source = symplectic_partitions(2 * n)
+        if not exhaustive:
+            bound = _max_part_bound(2 * n)
+            source = takewhile(lambda p: p[-1][0] >= bound, source)
+        for p in source:
+            for s in epsilon_variants(p):
+                report.checked += 1
+                out = wedge_square_classes(s)
+                for kind, image, expected in (("wedge", out.wedge_space, expected_wedge),
+                                              ("irr", out.irreducible, expected_irr)):
+                    got = is_distinguished(image)
+                    if got:
+                        seen.add((kind, s))
+                        report.hits.append(f"{kind} {s}")
+                    if got != (s in expected):
+                        report.counterexamples.append(f"{kind} {s}: distinguished={got}{_repro('thmC', s)}")
+        for kind, expected in (("wedge", expected_wedge), ("irr", expected_irr)):
+            report.counterexamples += [
+                f"{kind} {s}: expected distinguished, not seen{_repro('thmC', s)}"
+                for s in expected
+                if (kind, s) not in seen
+            ]
+    return report
+
+
+def _same_report(fast, slow):
+    assert fast.hits == slow.hits
+    assert fast.counterexamples == slow.counterexamples
+    assert fast.checked == slow.checked
+    assert fast.evaluated <= fast.checked
+
+
+class TestAgainstExhaustive:
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 5, 8, 14])
+    def test_dual_sweeps(self, max_n):
+        single2 = [JordanType(((2, 1),))] if max_n >= 2 else []
+        small = [JordanType(((n, 1),)) for n in (2, 3, 5) if n <= max_n]
+        _same_report(verify_prop_A_tensor(max_n),
+                     _reference_dual("dual-tensor-distinguished", max_n, "tensor_space", single2))
+        _same_report(verify_prop_A_irr(max_n),
+                     _reference_dual("dual-irreducible-distinguished", max_n, "irreducible", small))
+
+    @pytest.mark.parametrize("max_dim", [3, 4, 12, 20, 28, 36])
+    def test_pair_sweep(self, max_dim):
+        _same_report(verify_prop_tensor(max_dim), _reference_tensor(max_dim))
+
+    @pytest.mark.parametrize("max_n", [2, 3, 6, 10])
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_wedge_sweep(self, max_n, exhaustive):
+        _same_report(verify_prop_C(max_n, exhaustive), _reference_C(max_n, exhaustive))
+
+
+class TestSearch:
+    def test_pruned_counts_match_generators(self):
+        # count_classes(r, below) is the number of classes of dimension r with all parts below `below`
+        for r in range(31):
+            plain = [0] * (r + 2)
+            for p in partitions(r):
+                plain[p[-1][0] if p else 0] += 1
+            tagged = [0] * (r + 2)
+            for s in symplectic_types(r):
+                tagged[s.entries[-1][0] if s.entries else 0] += 1
+            for below in range(1, r + 3):
+                assert count_classes(r, below) == sum(plain[:below])
+                assert count_classes(r, below, True) == sum(tagged[:below])
+        assert count_classes(30, 31) == len(list(partitions(30)))
+        assert count_classes(30, 31, True) == len(list(symplectic_types(30)))
+
+    @staticmethod
+    def _prefixes(j):
+        """The sub-types met on the way to j in search order: blocks added one at a time, largest first."""
+        blocks = [d for d in reversed(j.expand())]
+        for k in range(1, len(blocks)):
+            yield JordanType.from_dict({d: blocks[:k].count(d) for d in set(blocks[:k])})
+
+    def test_prefix_rule_is_monotone(self):
+        # a prefix whose square fails a rule has no completion that passes it
+        for n in range(1, 13):
+            for j in jordan_types(n):
+                squares = (tensor(j, j), wedge_square(j), tensor(JordanType(((3, 1),)), j))
+                for prefix in self._prefixes(j):
+                    partial = (tensor(prefix, prefix), wedge_square(prefix), tensor(JordanType(((3, 1),)), prefix))
+                    for part, full in zip(partial, squares):
+                        for rule in (_within_subquotient_reach, _all_even_at_most_two):
+                            if not rule(part.to_dict()):
+                                assert not rule(full.to_dict()), (rule.__name__, prefix, j)
+
+    def test_leaf_squares_match_the_engine(self):
+        # with nothing pruned, the search yields every partition in table order with its square
+        def everything(square):
+            return True
+
+        for n in range(1, 13):
+            leaves, pruned = _search(n, _grow_tensor_square, everything)
+            assert pruned == 0
+            assert [p for p, _ in leaves] == list(partitions(n))
+            assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in leaves)
+
+            leaves, pruned = _search(n, _grow_wedge_square, everything, symplectic=True)
+            assert pruned == 0
+            assert [p for p, _ in leaves] == list(symplectic_partitions(n))
+            assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in leaves)
+
+            for j1 in jordan_types(4):
+                leaves, _ = _search(n, _grow_product(j1.blocks), everything, symplectic=True)
+                assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves)
+
+    def test_product_class_has_the_product_jordan_type(self):
+        # the pair sweep prunes on tensor(j1, j2), which must be the Jordan type of tensor_bilinear
+        for dim1 in (2, 4, 6):
+            for dim2 in (2, 4, 6, 8):
+                for s1 in symplectic_types(dim1):
+                    for s2 in symplectic_types(dim2):
+                        assert tensor_bilinear(s1, s2).jordan() == tensor(s1.jordan(), s2.jordan())
+
+    def test_pruning_keeps_every_class_counted(self):
+        for n in (6, 10, 14):
+            leaves, pruned = _search(n, _grow_tensor_square, _within_subquotient_reach)
+            assert pruned + len(leaves) == count_classes(n, n + 1)
+            leaves, pruned = _search(2 * n, _grow_wedge_square, _within_subquotient_reach, symplectic=True)
+            variants = sum(len(list(epsilon_variants(p))) for p, _ in leaves)
+            assert pruned + variants == count_classes(2 * n, 2 * n + 1, True)
