@@ -27,7 +27,7 @@ from .hesselink import (
     validate_symplectic,
     vtype,
 )
-from .jordan import JordanType, _tensor_blocks, _wedge_block
+from .jordan import JordanType, grow_product, grow_tensor_square, grow_wedge_square
 from .reps import dual_tensor_classes, wedge_square_classes
 
 Square = dict[int, int]  # Jordan multiplicities of a tensor, wedge or product square
@@ -52,12 +52,14 @@ class SweepReport:
 
     ``checked`` counts every class (or pair) the sweep covers, including
     those its search rules out without generating them; ``evaluated`` counts
-    the ones actually passed to the rules engine.
+    the ones actually passed to the rules engine; ``skipped`` counts the
+    classes in range that a proved bound leaves out of ``checked``.
     """
 
     name: str
     checked: int = 0
     evaluated: int = 0
+    skipped: int = 0
     hits: list[str] = field(default_factory=list)
     counterexamples: list[str] = field(default_factory=list)
     elapsed: float = 0.0
@@ -71,6 +73,7 @@ class SweepReport:
             "name": self.name,
             "checked": self.checked,
             "evaluated": self.evaluated,
+            "skipped": self.skipped,
             "distinguished_inputs": self.hits,
             "counterexamples": self.counterexamples,
             "elapsed_seconds": self.elapsed,
@@ -92,43 +95,6 @@ def _repro(command: str, *args) -> str:
 
 
 # --- the pruned search -------------------------------------------------------
-
-
-def _accumulate(out: Square, blocks: tuple[tuple[int, int], ...], k: int) -> None:
-    for d, c in blocks:
-        out[d] = out.get(d, 0) + k * c
-
-
-def _grow_tensor_square(square: Square, prefix: list[tuple[int, int]], d: int, m: int) -> Square:
-    """(P + m.d) x (P + m.d) = P x P + m^2 (d x d) + 2m (P x d)."""
-    out = dict(square)
-    _accumulate(out, _tensor_blocks(d, d), m * m)
-    for e, c in prefix:
-        _accumulate(out, _tensor_blocks(e, d), 2 * c * m)
-    return out
-
-
-def _grow_wedge_square(square: Square, prefix: list[tuple[int, int]], d: int, m: int) -> Square:
-    """wedge^2(P + m.d) = wedge^2 P + m wedge^2 d + C(m, 2) (d x d) + m (P x d)."""
-    out = dict(square)
-    _accumulate(out, _wedge_block(d), m)
-    if m > 1:
-        _accumulate(out, _tensor_blocks(d, d), m * (m - 1) // 2)
-    for e, c in prefix:
-        _accumulate(out, _tensor_blocks(e, d), c * m)
-    return out
-
-
-def _grow_product(factor: Partition):
-    """Grower of J x P for a fixed first factor J: J x (P + m.d) = J x P + m (J x d)."""
-
-    def grow(square: Square, prefix: list[tuple[int, int]], d: int, m: int) -> Square:
-        out = dict(square)
-        for e, c in factor:
-            _accumulate(out, _tensor_blocks(e, d), c * m)
-        return out
-
-    return grow
 
 
 def _within_subquotient_reach(square: Square) -> bool:
@@ -166,7 +132,7 @@ def _all_even_at_most_two(square: Square) -> bool:
 
 def _search(
     dim: int,
-    grow: Callable[[Square, list[tuple[int, int]], int, int], Square],
+    grow: Callable[[Square, list[tuple[int, int]], int, int], None],
     keep: Callable[[Square], bool],
     symplectic: bool = False,
     least_top: int = 1,
@@ -182,11 +148,11 @@ def _search(
     :func:`enumeration.symplectic_partitions`.  The largest part is at least
     ``least_top``.
 
-    ``grow(square, P, d, m)`` turns the multiplicities of the square of P
-    into those of the square of P + m.d; ``keep`` is a necessary condition
-    that the square of a completed partition must meet for the partition to
-    be worth evaluating.  A child failing ``keep`` is dropped together with
-    its whole subtree.
+    ``grow(square, P, d, m)`` is a square-growth step of
+    :mod:`sp2forms.jordan`, applied to a copy of the parent's square.
+    ``keep`` is a necessary condition that the square of a completed
+    partition must meet for the partition to be worth evaluating.  A child
+    failing ``keep`` is dropped together with its whole subtree.
 
     Why this is sound.  Every completion Q = P + R of a prefix P has a
     square containing the square of P as a sub-multiset, because
@@ -226,7 +192,8 @@ def _search(
         for d in range(min(below - 1, rest), least - 1, -1):
             kept: list[Square] = []  # kept[m - 1] is the square with m blocks of size d
             for m in range(1, rest // d + 1):
-                child = grow(square, prefix, d, m)
+                child = dict(square)
+                grow(child, prefix, d, m)
                 if not keep(child):
                     break
                 kept.append(child)
@@ -257,7 +224,7 @@ def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanTy
     start = time.perf_counter()
     seen = set()
     for n in range(2, max_n + 1):
-        leaves, pruned = _search(n, _grow_tensor_square, _within_subquotient_reach)
+        leaves, pruned = _search(n, grow_tensor_square, _within_subquotient_reach)
         report.checked += pruned
         for p, _ in leaves:
             j = JordanType(p)
@@ -323,7 +290,9 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     for dim1 in range(2, max_dim // 2 + 1, 2):
         for dim2 in range(dim1, max_dim // dim1 + 1, 2):
             for p1 in symplectic_partitions(dim1):
-                leaves, pruned = _search(dim2, _grow_product(p1), _all_even_at_most_two, symplectic=True)
+                leaves, pruned = _search(
+                    dim2, lambda sq, _, d, m: grow_product(sq, p1, d, m), _all_even_at_most_two, symplectic=True
+                )
                 for s1 in epsilon_variants(p1):
                     report.checked += pruned
                     for p2, _ in leaves:
@@ -374,9 +343,9 @@ def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
     Covers every symplectic class of dimension 4..2*max_n with
     :func:`_search` on the wedge square.  Unless ``exhaustive``, classes
     whose largest block falls below the dimension threshold of
-    :func:`_max_part_bound` are neither generated nor counted; the answers
-    are identical.  The expected classes must show up as hits, so a bug in
-    either reduction would surface as a counterexample.
+    :func:`_max_part_bound` are not generated, only counted in ``skipped``;
+    the answers are identical.  The expected classes must show up as hits,
+    so a bug in either reduction would surface as a counterexample.
     """
     report = SweepReport(name="wedge-distinguished")
     start = time.perf_counter()
@@ -389,7 +358,8 @@ def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
             expected_irr.append(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
         seen = set()
         least = 1 if exhaustive else _max_part_bound(2 * n)
-        leaves, pruned = _search(2 * n, _grow_wedge_square, _within_subquotient_reach, True, least)
+        report.skipped += count_classes(2 * n, least, True)
+        leaves, pruned = _search(2 * n, grow_wedge_square, _within_subquotient_reach, True, least)
         report.checked += pruned
         for p, _ in leaves:
             for s in epsilon_variants(p):

@@ -63,11 +63,6 @@ def symplectic_partitions(dim: int) -> Iterator[Partition]:
             yield p
 
 
-def free_sizes(p: Partition) -> list[int]:
-    """Sizes whose tag is a free choice, largest first: even sizes of even multiplicity."""
-    return [d for d, m in reversed(p) if d % 2 == 0 and m % 2 == 0]
-
-
 def epsilon_variants(p: Partition) -> Iterator[SymplecticType]:
     """All symplectic classes over one Jordan partition, in table order.
 
@@ -75,10 +70,34 @@ def epsilon_variants(p: Partition) -> Iterator[SymplecticType]:
     forced tag 1; the remaining sizes are free.  Free choices vary with larger sizes slowest,
     tagged (eps = 1) before untagged.
     """
-    free = free_sizes(p)
+    free = [d for d, m in reversed(p) if d % 2 == 0 and m % 2 == 0]
     for choice in product((1, 0), repeat=len(free)):
         tags = dict(zip(free, choice))
         yield SymplecticType(tuple((d, m, tags.get(d, 1 - d % 2)) for d, m in p))
+
+
+def _times_part(ways: list[int], k: int, symplectic: bool) -> list[int]:
+    """The counts ways[r] (parts below k) times the generating function of size k.
+
+    Plain: 1/(1 - x^k).  Symplectic: an odd size takes even multiplicities,
+    1/(1 - x^2k); an even size any, with two tag choices when even and
+    positive, (1 + x^k + x^2k)/(1 - x^2k).
+    """
+    ways = list(ways)
+    step = 2 * k if symplectic else k
+    if symplectic and k % 2 == 0:
+        for r in range(len(ways) - 1, k - 1, -1):
+            ways[r] += ways[r - k] + (ways[r - step] if r >= step else 0)
+    for r in range(step, len(ways)):
+        ways[r] += ways[r - step]
+    return ways
+
+
+# _rows[symplectic][k][r]: classes of dimension r with parts at most k, for r up
+# to a width that doubles on demand; _totals[symplectic][r]: all classes of
+# dimension r.  Each is replaced whole, never changed in place.
+_rows: dict[bool, list[list[int]]] = {False: [[1]], True: [[1]]}
+_totals: dict[bool, list[int]] = {False: [1], True: [1]}
 
 
 @lru_cache(maxsize=None)
@@ -89,21 +108,28 @@ def count_classes(dim: int, below: int, symplectic: bool = False) -> int:
     ``symplectic=True`` they are the classes of :func:`symplectic_types`: the
     partitions of :func:`symplectic_partitions`, each counted once per tag
     choice, so 2^(number of free sizes) times.  Sweeps use this to count a
-    whole subtree of the search without generating it.  The recursion goes
-    one part size down per level, so its depth is at most dim.
+    whole subtree of the search without generating it.  The counts are
+    products of per-size generating functions; an unbounded count keeps only
+    the full product, so its memory is linear in dim.
     """
-    k = min(below - 1, dim)  # the largest admissible part
-    if dim == 0:
-        return 1
-    if k < 1:
-        return 0
-    total = 0
-    for m in range(dim // k + 1):
-        if symplectic and k % 2 and m % 2:
-            continue  # odd sizes need even multiplicity
-        weight = 2 if symplectic and m and m % 2 == 0 and k % 2 == 0 else 1  # a free tag
-        total += weight * count_classes(dim - k * m, k, symplectic)
-    return total
+    largest = max(0, min(below - 1, dim))
+    if largest == dim:
+        totals = _totals[symplectic]
+        if dim >= len(totals):
+            totals = [1] + [0] * max(dim, 2 * len(totals))
+            for k in range(1, len(totals)):
+                totals = _times_part(totals, k, symplectic)
+            _totals[symplectic] = totals
+        return totals[dim]
+    rows = _rows[symplectic]
+    if dim >= len(rows[0]):
+        rows = [[1] + [0] * max(dim, 2 * len(rows[0]))]
+    if largest >= len(rows):
+        rows = list(rows)
+        while len(rows) <= largest:
+            rows.append(_times_part(rows[-1], len(rows), symplectic))
+        _rows[symplectic] = rows
+    return rows[largest][dim]
 
 
 def symplectic_types(

@@ -14,11 +14,13 @@ subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .jordan import (
     JordanType,
     _scan_terms,
     _tensor_blocks,
+    gcd_valuation,
     nu2,
     restrict_power,
     unique_odd_block,
@@ -154,19 +156,23 @@ def wtype(d: int, count: int = 1) -> SymplecticType:
     return SymplecticType(((d, 2 * count, 0),))
 
 
+def _merge(pieces: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """Sorted entries of a sum of (size, multiplicity, eps) pieces: multiplicities add, tags OR."""
+    acc: dict[int, list[int]] = {}
+    for d, m, e in pieces:
+        slot = acc.setdefault(d, [0, 0])
+        slot[0] += m
+        slot[1] |= e
+    return tuple((d, m, e) for d, (m, e) in sorted(acc.items()))
+
+
 def merge_tagged(*types: EpsilonTaggedType) -> EpsilonTaggedType:
     """Orthogonal sum at the tagged level: multiplicities add, tags combine by max.
 
     The tag rule is the normalization V(2d)^a | W(2d)^b = V(2d)^(a+2b) for
     a > 0: one tagged block of a size makes the whole size tagged.
     """
-    acc: dict[int, list[int]] = {}
-    for t in types:
-        for d, m, e in t.entries:
-            slot = acc.setdefault(d, [0, 0])
-            slot[0] += m
-            slot[1] |= e
-    return EpsilonTaggedType(tuple((d, m, e) for d, (m, e) in sorted(acc.items())))
+    return EpsilonTaggedType(_merge(entry for t in types for entry in t.entries))
 
 
 def orthogonal_sum(*types: SymplecticType) -> SymplecticType:
@@ -185,29 +191,24 @@ def _summands(s: SymplecticType) -> list[tuple[str, int, int]]:
     return out
 
 
-def _pair_product(kind1: str, d1: int, kind2: str, d2: int) -> dict[int, list[int]]:
-    """Tagged type of the product of two indecomposables, as {size: [mult, eps]}."""
+def _pair_product(kind1: str, d1: int, kind2: str, d2: int) -> list[tuple[int, int, int]]:
+    """Tagged type of the product of two indecomposables, as (size, mult, eps) pieces."""
     if kind1 == "V" and kind2 == "V":
         h1, h2 = d1 // 2, d2 // 2
         inner = _tensor_blocks(h1, h2)
         if nu2(h1) != nu2(h2):
-            return {2 * a: [2 * c, 0] for a, c in inner}
+            return [(2 * a, 2 * c, 0) for a, c in inner]
         alpha = nu2(h1)
         dj = unique_odd_block(h1 >> alpha, h2 >> alpha) << alpha
-        out = {}
-        for a, c in inner:
-            if a == dj:
-                if c != 1 << alpha:
-                    raise RuntimeError(f"tagged block of {d1} x {d2} has multiplicity {c}")
-                out[2 * a] = [2 * c, 1]
-            else:
-                out[2 * a] = [2 * c, 0]
-        return out
+        mult = dict(inner).get(dj, 0)
+        if mult != 1 << alpha:
+            raise RuntimeError(f"tagged block of {d1} x {d2} has multiplicity {mult}")
+        return [(2 * a, 2 * c, int(a == dj)) for a, c in inner]
     if kind1 == "W" and kind2 == "W":
         # both factors hyperbolic: every block doubles and stays untagged
-        return {a: [4 * c, 0] for a, c in _tensor_blocks(d1, d2)}
+        return [(a, 4 * c, 0) for a, c in _tensor_blocks(d1, d2)]
     # one hyperbolic factor absorbs the tag of the other
-    return {a: [2 * c, 0] for a, c in _tensor_blocks(d1, d2)}
+    return [(a, 2 * c, 0) for a, c in _tensor_blocks(d1, d2)]
 
 
 def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
@@ -219,15 +220,14 @@ def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
     one size whose halved value shares the 2-adic valuation of both factors,
     which stays tagged.
     """
-    acc: dict[int, list[int]] = {}
-    for kind1, d1, c1 in _summands(s1):
-        for kind2, d2, c2 in _summands(s2):
-            k = c1 * c2
-            for a, (m, e) in _pair_product(kind1, d1, kind2, d2).items():
-                slot = acc.setdefault(a, [0, 0])
-                slot[0] += k * m
-                slot[1] |= e
-    return SymplecticType(tuple((d, m, e) for d, (m, e) in sorted(acc.items())))
+    summands2 = _summands(s2)
+    pieces = (
+        (a, c1 * c2 * m, e)
+        for kind1, d1, c1 in _summands(s1)
+        for kind2, d2, c2 in summands2
+        for a, m, e in _pair_product(kind1, d1, kind2, d2)
+    )
+    return SymplecticType(_merge(pieces))
 
 
 def restrict_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
@@ -241,28 +241,19 @@ def restrict_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
     half = 1 << (alpha - 1)
-    acc: dict[int, list[int]] = {}
-
-    def put(size, mult, eps):
-        if size == 0 or mult == 0:
-            return
-        slot = acc.setdefault(size, [0, 0])
-        slot[0] += mult
-        slot[1] |= eps
-
+    pieces = []
     for kind, d, count in _summands(s):
         if kind == "W":
-            for a, m in restrict_power(JordanType(((d, 1),)), alpha).blocks:
-                put(a, 2 * m * count, 0)
+            pieces += [(a, 2 * m * count, 0) for a, m in restrict_power(JordanType(((d, 1),)), alpha).blocks]
         else:
             h = d // 2
             if h % (1 << alpha) == 0:
-                put(h // half, (1 << alpha) * count, 1)
+                pieces.append((h // half, (1 << alpha) * count, 1))
             else:
                 a, r = divmod(h, half)
-                put(a + 1, 2 * r * count, 0)
-                put(a, 2 * (half - r) * count, 0)
-    return SymplecticType(tuple((d, m, e) for d, (m, e) in sorted(acc.items())))
+                pieces += [(a + 1, 2 * r * count, 0), (a, 2 * (half - r) * count, 0)]
+    # W(0) and empty pieces are dropped
+    return SymplecticType(_merge(p for p in pieces if p[0] and p[1]))
 
 
 def induce_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
@@ -274,11 +265,4 @@ def induce_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
 
 def alpha_of(s: SymplecticType) -> int:
     """2-adic valuation of the gcd of block sizes, halving the tagged ones."""
-    from math import gcd
-
-    g = 0
-    for d, _, e in s.entries:
-        g = gcd(g, d // 2 if e else d)
-    if g == 0:
-        raise ValueError("alpha_of requires a non-empty type")
-    return nu2(g)
+    return gcd_valuation(d // 2 if e else d for d, _, e in s.entries)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import Iterable
 
 
 def nu2(n: int) -> int:
@@ -274,11 +275,8 @@ def tensor_blocks(m: int, n: int) -> JordanType:
 def tensor(j1: JordanType, j2: JordanType) -> JordanType:
     """Jordan type of a tensor product, extended additively from tensor_blocks."""
     out: dict[int, int] = {}
-    for d1, m1 in j1.blocks:
-        for d2, m2 in j2.blocks:
-            k = m1 * m2
-            for d, c in _tensor_blocks(d1, d2):
-                out[d] = out.get(d, 0) + k * c
+    for d, m in j2.blocks:
+        grow_product(out, j1.blocks, d, m)
     return JordanType.from_dict(out)
 
 
@@ -367,19 +365,44 @@ def wedge_square(j: JordanType) -> JordanType:
     contribute their pairwise tensor products.
     """
     out: dict[int, int] = {}
-
-    def accumulate(pairs, k):
-        for d, c in pairs:
-            out[d] = out.get(d, 0) + k * c
-
     blocks = j.blocks
-    for i, (d1, m1) in enumerate(blocks):
-        accumulate(_wedge_block(d1), m1)
-        if m1 > 1:
-            accumulate(_tensor_blocks(d1, d1), m1 * (m1 - 1) // 2)
-        for d2, m2 in blocks[i + 1:]:
-            accumulate(_tensor_blocks(d1, d2), m1 * m2)
+    for i, (d, m) in enumerate(blocks):
+        grow_wedge_square(out, blocks[:i], d, m)
     return JordanType.from_dict(out)
+
+
+# Square growth: each step adds in place to the Jordan multiplicities of a
+# square of a prefix P what m more blocks of size d contribute.  tensor and
+# wedge_square fold them over their blocks; the distinguished sweeps grow
+# partial squares with them one size at a time.
+
+
+def grow_product(square: dict[int, int], factor: Iterable[tuple[int, int]], d: int, m: int) -> None:
+    """J x (P + m.d) = J x P + m (J x d), for the fixed factor J with blocks ``factor``."""
+    get = square.get
+    for e, c in factor:
+        k = c * m
+        for s, t in _tensor_blocks(e, d):
+            square[s] = get(s, 0) + k * t
+
+
+def grow_tensor_square(square: dict[int, int], prefix: Iterable[tuple[int, int]], d: int, m: int) -> None:
+    """(P + m.d) x (P + m.d) = P x P + m^2 (d x d) + 2m (P x d)."""
+    k = m * m
+    for s, t in _tensor_blocks(d, d):
+        square[s] = square.get(s, 0) + k * t
+    grow_product(square, prefix, d, 2 * m)
+
+
+def grow_wedge_square(square: dict[int, int], prefix: Iterable[tuple[int, int]], d: int, m: int) -> None:
+    """wedge^2 (P + m.d) = wedge^2 P + m wedge^2 d + C(m, 2) (d x d) + m (P x d)."""
+    for s, t in _wedge_block(d):
+        square[s] = square.get(s, 0) + m * t
+    if m > 1:
+        k = m * (m - 1) // 2
+        for s, t in _tensor_blocks(d, d):
+            square[s] = square.get(s, 0) + k * t
+    grow_product(square, prefix, d, m)
 
 
 def restrict_power(j: JordanType, alpha: int) -> JordanType:
@@ -413,4 +436,6 @@ def gcd_valuation(sizes) -> int:
     g = 0
     for d in sizes:
         g = gcd(g, d)
+    if g == 0:
+        raise ValueError("gcd_valuation requires a non-empty collection of sizes")
     return nu2(g)

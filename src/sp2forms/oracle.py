@@ -405,37 +405,6 @@ def dual_tensor_space(u: Gf2Matrix) -> PointedSpace:
     return PointedSpace(BilinearSpace(big_u, gram), psi)
 
 
-def symplectic_basis(gram: Gf2Matrix) -> list[int]:
-    """A basis f_1..f_2n with form(f_i, f_j) = 1 exactly when i + j = 2n + 1.
-
-    Hyperbolic-pair extraction: repeatedly pick a vector, find a partner
-    pairing to 1, and clear both from the remaining vectors.  Requires a
-    non-degenerate alternating Gram matrix.
-    """
-    m = gram.nrows
-    if m % 2:
-        raise ValueError("non-degenerate alternating form needs even dimension")
-    remaining = [1 << i for i in range(m)]
-    pairs = []
-    while remaining:
-        x = remaining.pop(0)
-        gx = gram.matvec(x)
-        partner = next((idx for idx, y in enumerate(remaining) if (gx & y).bit_count() & 1), None)
-        if partner is None:
-            raise ValueError("Gram matrix is degenerate")
-        y = remaining.pop(partner)
-        gy = gram.matvec(y)
-        remaining = [
-            w ^ (x if (gy & w).bit_count() & 1 else 0) ^ (y if (gx & w).bit_count() & 1 else 0) for w in remaining
-        ]
-        pairs.append((x, y))
-    basis = [0] * m
-    for i, (x, y) in enumerate(pairs):
-        basis[i] = x
-        basis[m - 1 - i] = y
-    return basis
-
-
 def _pair_offsets(m: int) -> list[int]:
     """Position of e_i ^ e_(i+1) in the basis e_i ^ e_j (i < j), ordered by i, then j."""
     return [i * m - i * (i + 1) // 2 for i in range(m)]
@@ -478,7 +447,9 @@ def wedge_space(a: BilinearSpace) -> PointedSpace:
     g of the Gram matrix, corrected by the rank-one square of the
     functional phi: v ^ w -> b(v, w).  The fixed vector is the invariant
     wedge sum f_i ^ f_(2n+1-i) over a symplectic basis (f_i), independent of
-    the choice of basis.
+    the choice of basis: with the f_i as the columns of F and J the
+    anti-diagonal, its coordinates are the upper triangle of F J F^T, and
+    F^T G F = J gives F J F^T = G^(-1).
     """
     m = a.dim
     if m < 4:
@@ -487,26 +458,18 @@ def wedge_space(a: BilinearSpace) -> PointedSpace:
         raise ValueError("wedge square form requires a non-degenerate input space")
     offsets = _pair_offsets(m)
     g = a.gram.rows
-    phi = 0
+    h = a.gram.inverse().rows
+    phi = beta = 0
     for i in range(m):
         phi ^= (g[i] >> (i + 1)) << offsets[i]
+        beta ^= (h[i] >> (i + 1)) << offsets[i]
     g_rows = []
     for i in range(m):
         for j in range(i + 1, m):
             row = _wedge(g[i], g[j], offsets)
             g_rows.append(row ^ phi if (g[i] >> j) & 1 else row)
     w = len(g_rows)
-
-    basis = symplectic_basis(a.gram)
-    beta = 0
-    for i in range(m // 2):
-        beta ^= _wedge(basis[i], basis[m - 1 - i], offsets)
     return PointedSpace(BilinearSpace(wedge_matrix(a.u), Gf2Matrix(w, w, g_rows)), beta)
-
-
-def jordan_of_space(a: BilinearSpace) -> JordanType:
-    """Jordan type of the operator of a bilinear space."""
-    return jordan_type_of(a.u)
 
 
 def _epsilon(a: BilinearSpace, xd1: list[int], kernel: list[int]) -> int:

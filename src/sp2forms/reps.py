@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hesselink import EpsilonTaggedType, SymplecticType, validate_symplectic
+from .hesselink import EpsilonTaggedType, SymplecticType, alpha_of, validate_symplectic
 from .jordan import (
     JordanType,
     consecutive_ones_powers,
@@ -160,7 +160,7 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     n = dim // 2
     w_sizes = [(d, m) for d, m, e in s.entries if e == 0]
     v_halves = [(d // 2, m) for d, m, e in s.entries if e == 1]
-    alpha = gcd_valuation([d for d, _ in w_sizes] + [h for h, _ in v_halves])
+    alpha = alpha_of(s)
     lam = wedge_square(s.jordan()).to_dict()
 
     tagged: set[int] = set()

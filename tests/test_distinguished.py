@@ -7,9 +7,6 @@ import pytest
 from sp2forms import distinguished
 from sp2forms.distinguished import (
     _all_even_at_most_two,
-    _grow_product,
-    _grow_tensor_square,
-    _grow_wedge_square,
     _max_part_bound,
     _odd_single_tagged_sums,
     _repro,
@@ -30,7 +27,7 @@ from sp2forms.enumeration import (
     symplectic_types,
 )
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, orthogonal_sum, tensor_bilinear, vtype
-from sp2forms.jordan import JordanType, tensor, wedge_square
+from sp2forms.jordan import JordanType, grow_product, grow_tensor_square, grow_wedge_square, tensor, wedge_square
 from sp2forms.reps import dual_tensor_classes, wedge_square_classes
 
 E = EpsilonTaggedType.parse
@@ -152,6 +149,23 @@ class TestSweeps:
         assert report.evaluated == evaluated
         assert report.to_json()["evaluated"] == evaluated
         assert f"{report.checked} checked, {evaluated} evaluated" in report.summary()
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_skipped_completes_checked(self, n):
+        # the classes below _max_part_bound are counted in skipped, so nothing in range goes uncounted
+        bounded, full = verify_prop_C(n), verify_prop_C(n, True)
+        assert bounded.checked + bounded.skipped == full.checked
+        assert bounded.to_json()["skipped"] == bounded.skipped > 0
+        assert full.skipped == 0
+
+    def test_other_sweeps_skip_nothing(self):
+        for report in (verify_prop_A_tensor(10), verify_prop_A_irr(10), verify_prop_tensor(28)):
+            assert report.skipped == 0
+            assert report.to_json()["skipped"] == 0
+
+    def test_prop_C_to_600(self):
+        # past the old limit of the recursive class count (a RecursionError at n = 550)
+        assert verify_prop_C(600).ok
 
     def test_sweeps_to_100(self):
         # the paper's lists hold far beyond the acceptance bounds
@@ -357,18 +371,18 @@ class TestSearch:
             return True
 
         for n in range(1, 13):
-            leaves, pruned = _search(n, _grow_tensor_square, everything)
+            leaves, pruned = _search(n, grow_tensor_square, everything)
             assert pruned == 0
             assert [p for p, _ in leaves] == list(partitions(n))
             assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in leaves)
 
-            leaves, pruned = _search(n, _grow_wedge_square, everything, symplectic=True)
+            leaves, pruned = _search(n, grow_wedge_square, everything, symplectic=True)
             assert pruned == 0
             assert [p for p, _ in leaves] == list(symplectic_partitions(n))
             assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in leaves)
 
             for j1 in jordan_types(4):
-                leaves, _ = _search(n, _grow_product(j1.blocks), everything, symplectic=True)
+                leaves, _ = _search(n, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), everything, symplectic=True)
                 assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves)
 
     def test_product_class_has_the_product_jordan_type(self):
@@ -381,8 +395,8 @@ class TestSearch:
 
     def test_pruning_keeps_every_class_counted(self):
         for n in (6, 10, 14):
-            leaves, pruned = _search(n, _grow_tensor_square, _within_subquotient_reach)
+            leaves, pruned = _search(n, grow_tensor_square, _within_subquotient_reach)
             assert pruned + len(leaves) == count_classes(n, n + 1)
-            leaves, pruned = _search(2 * n, _grow_wedge_square, _within_subquotient_reach, symplectic=True)
+            leaves, pruned = _search(2 * n, grow_wedge_square, _within_subquotient_reach, symplectic=True)
             variants = sum(len(list(epsilon_variants(p))) for p, _ in leaves)
             assert pruned + variants == count_classes(2 * n, 2 * n + 1, True)

@@ -1,6 +1,7 @@
 """Tests for the deterministic enumeration used by tables and sweeps."""
 
 from sp2forms.enumeration import (
+    count_classes,
     epsilon_variants,
     jordan_types,
     partitions,
@@ -63,3 +64,47 @@ def test_trivial_exclusion():
     without = list(jordan_types(3, include_trivial=False))
     assert len(with_trivial) == len(without) + 1
     assert str(with_trivial[-1]) == "1^3"
+
+
+def _pentagonal_partition_count(n):
+    """p(n) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * n
+    for r in range(1, n + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= r:
+            sign = 1 if k % 2 else -1
+            p[r] += sign * p[r - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= r:
+                p[r] += sign * p[r - k * (3 * k + 1) // 2]
+            k += 1
+    return p[n]
+
+
+def _coin_change_symplectic_count(n):
+    """Symplectic classes of dimension n, counted as coin changes.
+
+    An odd size d comes in pairs of blocks, a coin of value 2d.  An even size
+    d is either all tagged, any number of V(d) coins of value d, or all
+    hyperbolic, any number of W(d) coins of value 2d; the empty choice is
+    counted by both.
+    """
+
+    def change(ways, coin):
+        ways = list(ways)
+        for r in range(coin, n + 1):
+            ways[r] += ways[r - coin]
+        return ways
+
+    ways = [1] + [0] * n
+    for d in range(1, n + 1):
+        if d % 2:
+            ways = change(ways, 2 * d)
+        else:
+            ways = [v + w - x for v, w, x in zip(change(ways, d), change(ways, 2 * d), ways)]
+    return ways[n]
+
+
+def test_count_classes_large():
+    # no recursion: the counts reach dimensions far past the interpreter's stack limit
+    assert count_classes(3000, 3001) == _pentagonal_partition_count(3000)
+    assert count_classes(2000, 2001, True) == _coin_change_symplectic_count(2000)
