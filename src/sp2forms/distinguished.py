@@ -5,19 +5,20 @@ non-trivial torus) exactly when its tagged type has every size even, every
 multiplicity at most two, and every tag set.  The sweeps below cover all
 classes up to a bound and confirm that the images under the dual-tensor,
 bilinear-tensor and wedge-square constructions are distinguished precisely
-for the expected short lists of inputs.  They do so with one pruned search
-(:func:`_search`): a class is only handed to the rules engine when the
-Jordan type of its image passes a necessary condition, and every class cut
-off by the search is still counted as checked.
+for the expected short lists of inputs.  They do so with pruned searches
+(:func:`_search` over partitions, :func:`_distinct_v_sums` for the pair
+sweep): a class is only handed to the rules engine while its image can still
+be distinguished, and every class cut off by a search is counted as checked.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable
 
-from .enumeration import Partition, count_classes, epsilon_variants, symplectic_partitions
+from .enumeration import Partition, count_classes, epsilon_variants
 from .hesselink import (
     EpsilonTaggedType,
     SymplecticConstraintError,
@@ -27,10 +28,10 @@ from .hesselink import (
     validate_symplectic,
     vtype,
 )
-from .jordan import JordanType, grow_product, grow_tensor_square, grow_wedge_square
+from .jordan import JordanType, grow_tensor_square, grow_wedge_square
 from .reps import dual_tensor_classes, wedge_square_classes
 
-Square = dict[int, int]  # Jordan multiplicities of a tensor, wedge or product square
+Square = dict[int, int]  # Jordan multiplicities of a tensor or wedge square
 
 
 def is_distinguished(t: EpsilonTaggedType) -> bool:
@@ -83,7 +84,7 @@ class SweepReport:
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return (
-            f"{status} {self.name}: {self.checked} checked, {self.evaluated} evaluated, "
+            f"{status} {self.name}: {self.checked} checked, {self.evaluated} evaluated, {self.skipped} skipped, "
             f"{len(self.hits)} distinguished, {len(self.counterexamples)} counterexamples, "
             f"{self.elapsed:.2f}s"
         )
@@ -125,15 +126,9 @@ def _within_subquotient_reach(square: Square) -> bool:
     return True
 
 
-def _all_even_at_most_two(square: Square) -> bool:
-    """The Jordan shape of a distinguished class: every size even, every multiplicity at most two."""
-    return all(d % 2 == 0 and m <= 2 for d, m in square.items())
-
-
 def _search(
     dim: int,
     grow: Callable[[Square, list[tuple[int, int]], int, int], None],
-    keep: Callable[[Square], bool],
     symplectic: bool = False,
     least_top: int = 1,
 ) -> tuple[list[tuple[Partition, Square]], int]:
@@ -149,25 +144,20 @@ def _search(
     ``least_top``.
 
     ``grow(square, P, d, m)`` is a square-growth step of
-    :mod:`sp2forms.jordan`, applied to a copy of the parent's square.
-    ``keep`` is a necessary condition that the square of a completed
-    partition must meet for the partition to be worth evaluating.  A child
-    failing ``keep`` is dropped together with its whole subtree.
+    :mod:`sp2forms.jordan`, applied to a copy of the parent's square.  A
+    child whose square fails :func:`_within_subquotient_reach` is dropped
+    together with its whole subtree.
 
     Why this is sound.  Every completion Q = P + R of a prefix P has a
     square containing the square of P as a sub-multiset, because
 
         (P + R) x (P + R) = P x P + R x R + 2 (P x R),
-        wedge^2 (P + R) = wedge^2 P + wedge^2 R + P x R,
-        J x (P + R) = J x P + J x R.
+        wedge^2 (P + R) = wedge^2 P + wedge^2 R + P x R.
 
-    Each ``keep`` rule used by the sweeps fails on a multiset whenever it
-    fails on a sub-multiset of it: the rules only bound multiplicities from
-    above and forbid sizes (see :func:`_within_subquotient_reach` and
-    :func:`_all_even_at_most_two`).  So when ``keep`` fails at a node it
-    fails at every leaf below it, and every class at those leaves would have
-    been rejected.  By the same argument, once m blocks of size d fail, so
-    do m + 1, and the larger multiplicities are never grown.
+    The rule only bounds multiplicities from above and forbids sizes, so it
+    fails on every multiset containing one it fails on: it fails at every
+    leaf below a node where it fails.  Likewise, once m blocks of size d
+    fail, so do m + 1, and the larger multiplicities are never grown.
 
     Pruned subtrees are counted, not generated.  The leaves below the child
     P + m.d are its completions by parts smaller than d, of total
@@ -194,7 +184,7 @@ def _search(
             for m in range(1, rest // d + 1):
                 child = dict(square)
                 grow(child, prefix, d, m)
-                if not keep(child):
+                if not _within_subquotient_reach(child):
                     break
                 kept.append(child)
             for m in range(rest // d, 0, -1):
@@ -224,7 +214,7 @@ def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanTy
     start = time.perf_counter()
     seen = set()
     for n in range(2, max_n + 1):
-        leaves, pruned = _search(n, grow_tensor_square, _within_subquotient_reach)
+        leaves, pruned = _search(n, grow_tensor_square)
         report.checked += pruned
         for p, _ in leaves:
             j = JordanType(p)
@@ -259,17 +249,23 @@ def verify_prop_A_irr(max_n: int) -> SweepReport:
     return _dual_tensor_sweep("dual-irreducible-distinguished", max_n, "irreducible", expected)
 
 
-def _odd_single_tagged_sums(max_dim: int) -> list[SymplecticType]:
-    """Orthogonal sums of distinct tagged blocks V(2k), k odd, of dimension at most max_dim."""
+def _distinct_v_sums(max_dim: int, keep: Callable[[SymplecticType], bool]) -> list[SymplecticType]:
+    """Orthogonal sums of distinct V(2h) of dimension at most max_dim, each grown only while ``keep`` holds.
+
+    A depth-first search in preorder: a sum grows by one V(d) smaller than
+    its summands, sizes falling, so the sums of one dimension come in table
+    order.  A sum that fails ``keep`` is dropped with every sum grown from it.
+    """
     out = []
 
-    def extend(entries: tuple[tuple[int, int, int], ...], total: int, size: int) -> None:
-        for d in range(size, max_dim - total + 1, 4):
-            grown = entries + ((d, 1, 1),)
-            out.append(SymplecticType(grown))
-            extend(grown, total + d, d + 4)
+    def extend(entries: tuple[tuple[int, int, int], ...], room: int, top: int) -> None:
+        for d in range(min(room, top), 1, -2):
+            grown = SymplecticType(((d, 1, 1),) + entries)
+            if keep(grown):
+                out.append(grown)
+                extend(grown.entries, room - d, d - 2)
 
-    extend((), 0, 2)
+    extend((), max_dim - max_dim % 2, max_dim)
     return out
 
 
@@ -277,43 +273,47 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     """Products of two classes are distinguished exactly in the V(2) x odd-sum family.
 
     Covers unordered pairs with both dimensions at least 2 and product
-    dimension at most max_dim.  For each first factor the second is found by
-    :func:`_search` on the product's Jordan type, which a distinguished
-    product must give every size even and multiplicity at most two.
+    dimension at most max_dim, the first factor of the smaller dimension.
+
+    Lemma: both factors of a distinguished product are sums of distinct
+    V(2h).  :func:`hesselink.tensor_bilinear` merges a piece (a, c1*c2*m, e)
+    for each piece (a, m, e) of the product of a summand V(d)^c1 or W(d)^c1
+    of one factor with a summand V(d')^c2 or W(d')^c2 of the other; m is even
+    and at least 2, and only V x V pieces carry tag 1.  A distinguished class
+    has multiplicity at most 2 at each size, so each of its sizes comes from
+    one piece, with c1 = c2 = 1 and tag 1: no W summand, no count above 1.
+
+    Monotonicity: if s1 x P is not distinguished, neither is s1 x (P + R),
+    which merges the pieces of s1 x P and s1 x R: multiplicities grow by even
+    amounts of at least 2 and tags OR.  A product is symplectic, so it fails
+    by an odd size, which stays, a multiplicity above 2, which grows, or an
+    untagged size of multiplicity at least 2, which stays untagged or grows.
+
+    So the first factors are the sums of distinct V(2h) of dimension at most
+    isqrt(max_dim), and the second grow by :func:`_distinct_v_sums` while the
+    product is distinguished; ``evaluated`` counts the products computed.
+    Hits are sorted by the two dimensions, each factor in table order.
     """
     report = SweepReport(name="bilinear-tensor-distinguished")
     start = time.perf_counter()
-    v2 = vtype(2)
-    expected = [(v2, s) for s in _odd_single_tagged_sums(max_dim // 2)]
-    wanted = set(expected)
-    seen = set()
-    for dim1 in range(2, max_dim // 2 + 1, 2):
-        for dim2 in range(dim1, max_dim // dim1 + 1, 2):
-            for p1 in symplectic_partitions(dim1):
-                leaves, pruned = _search(
-                    dim2, lambda sq, _, d, m: grow_product(sq, p1, d, m), _all_even_at_most_two, symplectic=True
-                )
-                for s1 in epsilon_variants(p1):
-                    report.checked += pruned
-                    for p2, _ in leaves:
-                        for s2 in epsilon_variants(p2):
-                            report.checked += 1
-                            report.evaluated += 1
-                            got = is_distinguished(tensor_bilinear(s1, s2))
-                            want = (s1, s2) in wanted
-                            if got:
-                                seen.add((s1, s2))
-                                report.hits.append(f"{s1} x {s2}")
-                            if got != want:
-                                report.counterexamples.append(
-                                    f"{s1} x {s2}: distinguished={got}, expected={want}"
-                                    f"{_repro('tensor-bilinear', s1, s2)}"
-                                )
-    for s1, s2 in expected:
-        if (s1, s2) not in seen:
-            report.counterexamples.append(
-                f"{s1} x {s2}: expected distinguished, not seen{_repro('tensor-bilinear', s1, s2)}"
-            )
+    root = isqrt(max(max_dim, 0))  # the largest dimension of a first factor
+    n = [count_classes(d, d + 1, True) for d in range(max_dim // 2 + 1)]  # classes per dimension
+    report.checked = sum(n[a] * n[b] for a in range(2, root + 1, 2) for b in range(a, max_dim // a + 1, 2))
+    odd_sums = _distinct_v_sums(max_dim // 2, lambda s: s.entries[0][0] % 4 == 2)
+    expected = [(vtype(2), s) for s in sorted(odd_sums, key=SymplecticType.dimension)]
+    pairs = []
+    for s1 in _distinct_v_sums(root, lambda s: True):
+        dim1 = s1.dimension()
+        def distinguished_product(s2: SymplecticType) -> bool:
+            report.evaluated += 1
+            return is_distinguished(tensor_bilinear(s1, s2))
+        pairs += [(s1, s2) for s2 in _distinct_v_sums(max_dim // dim1, distinguished_product) if s2.dimension() >= dim1]
+    pairs.sort(key=lambda pair: (pair[0].dimension(), pair[1].dimension()))
+    wanted, seen = set(expected), set(pairs)
+    lines = [(pair, "distinguished=True, expected=False") for pair in pairs if pair not in wanted]
+    lines += [(pair, "expected distinguished, not seen") for pair in expected if pair not in seen]
+    report.hits = [f"{s1} x {s2}" for s1, s2 in pairs]
+    report.counterexamples = [f"{s1} x {s2}: {why}{_repro('tensor-bilinear', s1, s2)}" for (s1, s2), why in lines]
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -359,7 +359,7 @@ def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
         seen = set()
         least = 1 if exhaustive else _max_part_bound(2 * n)
         report.skipped += count_classes(2 * n, least, True)
-        leaves, pruned = _search(2 * n, grow_wedge_square, _within_subquotient_reach, True, least)
+        leaves, pruned = _search(2 * n, grow_wedge_square, True, least)
         report.checked += pruned
         for p, _ in leaves:
             for s in epsilon_variants(p):

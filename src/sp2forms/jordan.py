@@ -314,25 +314,6 @@ def unique_odd_block(m: int, n: int) -> int:
     return odd[0][0]
 
 
-def odd_block_from_binary_digits(m: int, n: int) -> int:
-    """Conjectural digit formula for the odd block size of unique_odd_block.
-
-    Stated without proof in the source material; kept only so tests can
-    cross-check it against the scan.  Not used by any computation.
-    """
-    if m % 2 == 0 or n % 2 == 0:
-        raise ValueError(f"requires odd block sizes, got ({m}, {n})")
-    if m > n:
-        m, n = n, m
-    total = n
-    i = 1
-    while m >> i:
-        if (m >> i) & 1:
-            total += -(1 << i) if (n >> i) & 1 else (1 << i)
-        i += 1
-    return total
-
-
 @lru_cache(maxsize=None)
 def _wedge_block(n: int) -> tuple[tuple[int, int], ...]:
     if n <= 1:
@@ -373,8 +354,8 @@ def wedge_square(j: JordanType) -> JordanType:
 
 # Square growth: each step adds in place to the Jordan multiplicities of a
 # square of a prefix P what m more blocks of size d contribute.  tensor and
-# wedge_square fold them over their blocks; the distinguished sweeps grow
-# partial squares with them one size at a time.
+# wedge_square fold them over their blocks; the partition search of
+# distinguished grows partial tensor and wedge squares one size at a time.
 
 
 def grow_product(square: dict[int, int], factor: Iterable[tuple[int, int]], d: int, m: int) -> None:

@@ -364,11 +364,6 @@ def build_w(d: int) -> BilinearSpace:
     return BilinearSpace(u, gram)
 
 
-def direct_sum(a: BilinearSpace, b: BilinearSpace) -> BilinearSpace:
-    """Orthogonal direct sum: block-diagonal operator and Gram matrix."""
-    return BilinearSpace(_block_diag([a.u, b.u]), _block_diag([a.gram, b.gram]))
-
-
 def tensor_space(a: BilinearSpace, b: BilinearSpace) -> BilinearSpace:
     """Tensor product space with the product form (Kronecker on both matrices)."""
     return BilinearSpace(a.u.kron(b.u), a.gram.kron(b.gram))

@@ -23,12 +23,12 @@ from sp2forms.distinguished import (
 from sp2forms.hesselink import orthogonal_sum, tensor_bilinear, vtype, wtype
 from sp2forms.jordan import (
     nu2,
-    odd_block_from_binary_digits,
     tensor_blocks,
     tensor_square_closed,
     unique_odd_block,
     wedge_block,
 )
+from test_jordan import odd_block_from_binary_digits
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 

@@ -126,6 +126,14 @@ class TestSweepCommands:
         assert code == 0
         assert out.count("PASS") == 4
 
+    def test_distinguished_prints_skipped(self, capsys):
+        # the wedge classes left out by the largest-part bound show in the text output, not only in --json
+        code, out, _ = run(capsys, "distinguished", "--max-n", "22", "--max-dim", "44")
+        assert code == 0
+        wedge = [line for line in out.splitlines() if "wedge-distinguished" in line]
+        assert len(wedge) == 1 and "12211 checked, 13 evaluated, 79547 skipped, " in wedge[0]
+        assert out.count(" 0 skipped, ") == 3
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["table"])

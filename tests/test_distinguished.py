@@ -4,11 +4,10 @@ from itertools import takewhile
 
 import pytest
 
-from sp2forms import distinguished
+from sp2forms import distinguished, hesselink
 from sp2forms.distinguished import (
-    _all_even_at_most_two,
+    _distinct_v_sums,
     _max_part_bound,
-    _odd_single_tagged_sums,
     _repro,
     _search,
     _within_subquotient_reach,
@@ -139,8 +138,8 @@ class TestSweeps:
             (verify_prop_A_irr, (10,), 8),
             (verify_prop_A_tensor, (22,), 8),
             (verify_prop_A_irr, (22,), 8),
-            (verify_prop_tensor, (28,), 52),
-            (verify_prop_tensor, (44,), 171),
+            (verify_prop_tensor, (28,), 14),
+            (verify_prop_tensor, (44,), 37),
         ],
     )
     def test_evaluated_counts(self, sweep, args, evaluated):
@@ -156,6 +155,7 @@ class TestSweeps:
         bounded, full = verify_prop_C(n), verify_prop_C(n, True)
         assert bounded.checked + bounded.skipped == full.checked
         assert bounded.to_json()["skipped"] == bounded.skipped > 0
+        assert f"{bounded.evaluated} evaluated, {bounded.skipped} skipped, " in bounded.summary()
         assert full.skipped == 0
 
     def test_other_sweeps_skip_nothing(self):
@@ -174,6 +174,14 @@ class TestSweeps:
         assert reports[0].hits == ["2"]
         assert reports[1].hits == ["2", "3", "5"]
         assert reports[2].hits == ["wedge 4_1", "irr 4_1", "irr 2_1^2", "irr 6_1", "irr 10_1", "irr 2_1,10_1"]
+
+    def test_pair_sweep_to_200(self):
+        # the pair sweep far beyond the acceptance bound, down to the exact count of pairs covered
+        report = verify_prop_tensor(200)
+        assert report.ok
+        assert len(report.hits) == 1212
+        assert report.checked == 307214060
+        assert report.evaluated <= report.checked
 
     def test_missing_expected_hits_are_reported(self, monkeypatch):
         # a sweep that sees none of its expected classes says so, with a command to rerun each
@@ -203,14 +211,24 @@ class TestSweeps:
         assert "wedge 4_1: distinguished=False; run: sp2forms thmC 4_1" in verify_prop_C(2).counterexamples
 
     def test_odd_single_tagged_sums(self):
+        # the expected family of the pair sweep: the search kept while its newest, smallest size is 2 mod 4
         family = {
             s
             for dim in range(2, 31, 2)
             for s in symplectic_types(dim)
             if all(e == 1 and m == 1 and (d // 2) % 2 == 1 for d, m, e in s.entries)
         }
-        sums = _odd_single_tagged_sums(30)
+        sums = _distinct_v_sums(30, lambda s: s.entries[0][0] % 4 == 2)
         assert len(sums) == len(family) and set(sums) == family
+
+    def test_distinct_v_sums_in_table_order(self):
+        # with nothing dropped: every sum of distinct V(2h), each dimension in table order
+        sums = _distinct_v_sums(31, lambda s: True)
+        for dim in range(2, 31, 2):
+            want = [s for s in symplectic_types(dim) if all(e == 1 and m == 1 for _, m, e in s.entries)]
+            assert [s for s in sums if s.dimension() == dim] == want
+        assert all(s.dimension() <= 31 for s in sums)
+        assert _distinct_v_sums(1, lambda s: True) == []
 
 
 # --- the pruned sweeps against exhaustive per-class references ---------------
@@ -263,8 +281,9 @@ def _reference_tensor(max_dim):
                         )
     report.counterexamples += [
         f"{v2} x {s}: expected distinguished, not seen{_repro('tensor-bilinear', v2, s)}"
-        for s in _odd_single_tagged_sums(max_dim // 2)
-        if (v2, s) not in seen
+        for dim in sorted(by_dim)
+        for s in by_dim[dim]
+        if odd_sum(s) and (v2, s) not in seen
     ]
     return report
 
@@ -320,7 +339,7 @@ class TestAgainstExhaustive:
         _same_report(verify_prop_A_irr(max_n),
                      _reference_dual("dual-irreducible-distinguished", max_n, "irreducible", small))
 
-    @pytest.mark.parametrize("max_dim", [3, 4, 12, 20, 28, 36])
+    @pytest.mark.parametrize("max_dim", [-5, 0, 3, 4, 12, 20, 28, 36, 44, 60])
     def test_pair_sweep(self, max_dim):
         _same_report(verify_prop_tensor(max_dim), _reference_tensor(max_dim))
 
@@ -357,36 +376,33 @@ class TestSearch:
         # a prefix whose square fails a rule has no completion that passes it
         for n in range(1, 13):
             for j in jordan_types(n):
-                squares = (tensor(j, j), wedge_square(j), tensor(JordanType(((3, 1),)), j))
+                squares = (tensor(j, j), wedge_square(j))
                 for prefix in self._prefixes(j):
-                    partial = (tensor(prefix, prefix), wedge_square(prefix), tensor(JordanType(((3, 1),)), prefix))
+                    partial = (tensor(prefix, prefix), wedge_square(prefix))
                     for part, full in zip(partial, squares):
-                        for rule in (_within_subquotient_reach, _all_even_at_most_two):
-                            if not rule(part.to_dict()):
-                                assert not rule(full.to_dict()), (rule.__name__, prefix, j)
+                        if not _within_subquotient_reach(part.to_dict()):
+                            assert not _within_subquotient_reach(full.to_dict()), (prefix, j)
 
-    def test_leaf_squares_match_the_engine(self):
+    def test_leaf_squares_match_the_engine(self, monkeypatch):
         # with nothing pruned, the search yields every partition in table order with its square
-        def everything(square):
-            return True
-
+        monkeypatch.setattr(distinguished, "_within_subquotient_reach", lambda square: True)
         for n in range(1, 13):
-            leaves, pruned = _search(n, grow_tensor_square, everything)
+            leaves, pruned = _search(n, grow_tensor_square)
             assert pruned == 0
             assert [p for p, _ in leaves] == list(partitions(n))
             assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in leaves)
 
-            leaves, pruned = _search(n, grow_wedge_square, everything, symplectic=True)
+            leaves, pruned = _search(n, grow_wedge_square, symplectic=True)
             assert pruned == 0
             assert [p for p, _ in leaves] == list(symplectic_partitions(n))
             assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in leaves)
 
             for j1 in jordan_types(4):
-                leaves, _ = _search(n, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), everything, symplectic=True)
+                leaves, _ = _search(n, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), symplectic=True)
                 assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves)
 
     def test_product_class_has_the_product_jordan_type(self):
-        # the pair sweep prunes on tensor(j1, j2), which must be the Jordan type of tensor_bilinear
+        # forgetting the tags of tensor_bilinear gives the Jordan-level product tensor(j1, j2)
         for dim1 in (2, 4, 6):
             for dim2 in (2, 4, 6, 8):
                 for s1 in symplectic_types(dim1):
@@ -395,8 +411,23 @@ class TestSearch:
 
     def test_pruning_keeps_every_class_counted(self):
         for n in (6, 10, 14):
-            leaves, pruned = _search(n, grow_tensor_square, _within_subquotient_reach)
+            leaves, pruned = _search(n, grow_tensor_square)
             assert pruned + len(leaves) == count_classes(n, n + 1)
-            leaves, pruned = _search(2 * n, grow_wedge_square, _within_subquotient_reach, symplectic=True)
+            leaves, pruned = _search(2 * n, grow_wedge_square, symplectic=True)
             variants = sum(len(list(epsilon_variants(p))) for p, _ in leaves)
             assert pruned + variants == count_classes(2 * n, 2 * n + 1, True)
+
+    def test_pair_pieces_have_even_multiplicity(self):
+        # the pair sweep's lemma rests on this: every piece of a product of two indecomposables
+        # has even multiplicity at least 2, and only V x V pieces carry tag 1
+        kinds = [("V", d) for d in range(2, 33, 2)] + [("W", d) for d in range(1, 33)]
+        for kind1, d1 in kinds:
+            for kind2, d2 in kinds:
+                if d1 * d2 > 64:
+                    continue
+                pieces = hesselink._pair_product(kind1, d1, kind2, d2)
+                dims = (d1 * (1 + (kind1 == "W")), d2 * (1 + (kind2 == "W")))
+                assert sum(a * m for a, m, _ in pieces) == dims[0] * dims[1]
+                for a, m, e in pieces:
+                    assert m >= 2 and m % 2 == 0, (kind1, d1, kind2, d2, a, m)
+                    assert e == 0 or kind1 == kind2 == "V", (kind1, d1, kind2, d2, a)

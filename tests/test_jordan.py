@@ -10,7 +10,6 @@ from sp2forms.jordan import (
     consecutive_ones,
     induce_power,
     nu2,
-    odd_block_from_binary_digits,
     restrict_power,
     tensor,
     tensor_blocks,
@@ -21,6 +20,25 @@ from sp2forms.jordan import (
 )
 
 J = JordanType.parse
+
+
+def odd_block_from_binary_digits(m: int, n: int) -> int:
+    """Conjectural digit formula for the odd block size of unique_odd_block.
+
+    Stated without proof in the source material; the tests cross-check it
+    against the scan, here and in acceptance criterion 8.
+    """
+    if m % 2 == 0 or n % 2 == 0:
+        raise ValueError(f"requires odd block sizes, got ({m}, {n})")
+    if m > n:
+        m, n = n, m
+    total = n
+    i = 1
+    while m >> i:
+        if (m >> i) & 1:
+            total += -(1 << i) if (n >> i) & 1 else (1 << i)
+        i += 1
+    return total
 
 
 jordan_types = st.dictionaries(

@@ -12,7 +12,6 @@ from sp2forms.oracle import (
     Gf2Matrix,
     build_v,
     build_w,
-    direct_sum,
     dual_tensor_space,
     epsilon_of_space,
     hesselink_of_space,
@@ -25,11 +24,17 @@ from sp2forms.oracle import (
     unipotent_from_jordan,
     wedge_matrix,
     wedge_space,
+    _block_diag,
 )
 
 J = JordanType.parse
 S = SymplecticType.parse
 E = EpsilonTaggedType.parse
+
+
+def direct_sum(a: BilinearSpace, b: BilinearSpace) -> BilinearSpace:
+    """Orthogonal direct sum: block-diagonal operator and Gram matrix."""
+    return BilinearSpace(_block_diag([a.u, b.u]), _block_diag([a.gram, b.gram]))
 
 
 def _random_matrix(rng, n, ncols=None):

@@ -1,6 +1,8 @@
 """Source-level guards on the library package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import sp2forms
@@ -18,3 +20,32 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _load_spans():
+    """perfbench/spans.py, loaded from its file; nothing is installed, so no function is rebound."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_exist_in_the_package():
+    # install and install_marks only list the names they miss, so a moved function would drop its span silently
+    spans = _load_spans()
+    missing = []
+    for name in dict.fromkeys(spans.SPANS + spans.MARKS):
+        module, func = name.split(".", 1)
+        if not callable(getattr(importlib.import_module(f"{PACKAGE.name}.{module}"), func, None)):
+            missing.append(name)
+    for name, (module, classes) in spans.PARSE_METHODS.items():
+        found = [getattr(importlib.import_module(f"{PACKAGE.name}.{module}"), c, None) for c in classes]
+        if None in found or not any(isinstance(vars(c).get("parse"), classmethod) for c in found):
+            missing.append(name)
+    for name in spans.COUNTED_METHODS:
+        module, cls, meth = name.split(".")
+        if not callable(vars(getattr(importlib.import_module(f"{PACKAGE.name}.{module}"), cls, object)).get(meth)):
+            missing.append(name)
+    assert len(spans.SPANS) > 20 and spans.COUNTED_METHODS  # the lists were read, so the check is not vacuous
+    assert not missing, missing
