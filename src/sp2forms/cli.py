@@ -27,6 +27,13 @@ from .hesselink import SymplecticType, tensor_bilinear
 from .jordan import JordanType, ParseError, consecutive_ones, tensor, wedge_square
 from .reps import dual_tensor_classes, wedge_square_classes
 
+# Caps on the distinguished sweep bounds, which drive time and memory.  At the
+# caps, on a 2-CPU host, the wedge sweep takes 3.3 s, each dual-tensor sweep
+# 1.5 s, and the pair sweep 3.3 s and 62 MB; the pair sweep grows with its hit
+# count, to 16 s and 207 MB at --max-dim 500.
+MAX_N_CAP = 1000
+MAX_DIM_CAP = 400
+
 
 def _parse_or_exit(parser_fn, text: str, what: str):
     try:
@@ -98,6 +105,18 @@ def _cmd_thm_c(args) -> int:
         return 2
     _emit(args, f"{res.wedge_space} | {res.irreducible}", {"input": s.to_json(), **res.to_json()})
     return 0
+
+
+def _bounded(cap: int):
+    """An argparse type for an integer in 0..cap; other values are usage errors (exit 2)."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if not 0 <= n <= cap:
+            raise argparse.ArgumentTypeError(f"{n} is outside 0..{cap}")
+        return n
+
+    return integer
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -259,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("distinguished", help="Verify the distinguished-class sweeps.")
-    p.add_argument("--max-n", type=int, default=12, help="dimension bound for the single-space sweeps")
-    p.add_argument("--max-dim", type=int, default=24, help="product dimension bound for the pair sweep")
+    p.add_argument("--max-n", type=_bounded(MAX_N_CAP), default=12,
+                   help=f"dimension bound for the single-space sweeps, 0..{MAX_N_CAP}")
+    p.add_argument("--max-dim", type=_bounded(MAX_DIM_CAP), default=24,
+                   help=f"product dimension bound for the pair sweep, 0..{MAX_DIM_CAP}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_distinguished)
 

@@ -6,7 +6,8 @@ tagged type and fixed-vector subquotient against the combinatorial rules.
 Likewise on the special linear side with the dual tensor square.  The sweep
 also records violations of the two tag parity laws (a tagged size must be
 even; odd multiplicity on a non-degenerate space forces the tag), which must
-never occur.
+never occur.  Every mismatch and violation line ends with the command that
+reproduces the rules' side of it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import oracle
+from .distinguished import repro
 from .enumeration import jordan_types, symplectic_types
 from .hesselink import EpsilonTaggedType, SymplecticType
 from .jordan import JordanType
@@ -67,6 +69,7 @@ def _parity_problems(tagged: EpsilonTaggedType, nondegenerate: bool, context: st
 
 def _compare(
     text: str,
+    command: str,
     labels: tuple[str, str],
     built: oracle.PointedSpace,
     full_rule: EpsilonTaggedType,
@@ -75,7 +78,8 @@ def _compare(
     """Check a built space and its fixed-vector subquotient against the rules' classes.
 
     Returns (text, mismatches, parity violations); labels name the full space
-    and the subquotient in the messages.
+    and the subquotient in the messages, and each line ends with
+    ``sp2forms <command> <text>``.
     """
     full_label, sub_label = (f"{label}({text})" for label in labels)
     space, vector = built
@@ -93,7 +97,8 @@ def _compare(
     if not sub.is_nondegenerate():
         mismatches.append(f"{sub_label}: subquotient form is degenerate")
     parity += _parity_problems(irr, True, sub_label)
-    return (text, mismatches, parity)
+    suffix = repro(command, text)
+    return (text, [line + suffix for line in mismatches], [line + suffix for line in parity])
 
 
 def check_symplectic_instance(type_string: str) -> tuple[str, list[str], list[str]]:
@@ -101,7 +106,7 @@ def check_symplectic_instance(type_string: str) -> tuple[str, list[str], list[st
     s = SymplecticType.parse(type_string)
     predicted = wedge_square_classes(s)
     built = oracle.wedge_space(oracle.space_from_type(s))
-    return _compare(type_string, ("wedge", "wedge-sub"), built, predicted.wedge_space, predicted.irreducible)
+    return _compare(type_string, "thmC", ("wedge", "wedge-sub"), built, predicted.wedge_space, predicted.irreducible)
 
 
 def check_linear_instance(jordan_string: str) -> tuple[str, list[str], list[str]]:
@@ -109,7 +114,9 @@ def check_linear_instance(jordan_string: str) -> tuple[str, list[str], list[str]
     j = JordanType.parse(jordan_string)
     predicted = dual_tensor_classes(j)
     built = oracle.dual_tensor_space(oracle.unipotent_from_jordan(j))
-    return _compare(jordan_string, ("dual-tensor", "dual-sub"), built, predicted.tensor_space, predicted.irreducible)
+    return _compare(
+        jordan_string, "thmA", ("dual-tensor", "dual-sub"), built, predicted.tensor_space, predicted.irreducible
+    )
 
 
 def _run_one(task: tuple[str, str]) -> tuple[str, list[str], list[str]]:

@@ -1,4 +1,4 @@
-"""Distinguished unipotent classes and exhaustive verification sweeps.
+"""Distinguished unipotent classes and verification sweeps over every class up to a bound.
 
 A unipotent symplectic class is *distinguished* (centralizer containing no
 non-trivial torus) exactly when its tagged type has every size even, every
@@ -8,7 +8,8 @@ bilinear-tensor and wedge-square constructions are distinguished precisely
 for the expected short lists of inputs.  They do so with pruned searches
 (:func:`_search` over partitions, :func:`_distinct_v_sums` for the pair
 sweep): a class is only handed to the rules engine while its image can still
-be distinguished, and every class cut off by a search is counted as checked.
+be distinguished.  What a sweep covers, every class or pair in range, is
+counted in closed form by :func:`enumeration.class_counts`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable
 
-from .enumeration import Partition, count_classes, epsilon_variants
+from .enumeration import Partition, class_counts, epsilon_variants
 from .hesselink import (
     EpsilonTaggedType,
     SymplecticConstraintError,
@@ -51,16 +52,14 @@ def is_distinguished(t: EpsilonTaggedType) -> bool:
 class SweepReport:
     """Result of one verification sweep.
 
-    ``checked`` counts every class (or pair) the sweep covers, including
-    those its search rules out without generating them; ``evaluated`` counts
-    the ones actually passed to the rules engine; ``skipped`` counts the
-    classes in range that a proved bound leaves out of ``checked``.
+    ``checked`` is the number of classes (or pairs) in the sweep's range,
+    counted in closed form; ``evaluated`` is the number the rules engine
+    computed, the ones the sweep's search could not rule out.
     """
 
     name: str
     checked: int = 0
     evaluated: int = 0
-    skipped: int = 0
     hits: list[str] = field(default_factory=list)
     counterexamples: list[str] = field(default_factory=list)
     elapsed: float = 0.0
@@ -74,7 +73,6 @@ class SweepReport:
             "name": self.name,
             "checked": self.checked,
             "evaluated": self.evaluated,
-            "skipped": self.skipped,
             "distinguished_inputs": self.hits,
             "counterexamples": self.counterexamples,
             "elapsed_seconds": self.elapsed,
@@ -84,14 +82,14 @@ class SweepReport:
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return (
-            f"{status} {self.name}: {self.checked} checked, {self.evaluated} evaluated, {self.skipped} skipped, "
+            f"{status} {self.name}: {self.checked} checked, {self.evaluated} evaluated, "
             f"{len(self.hits)} distinguished, {len(self.counterexamples)} counterexamples, "
             f"{self.elapsed:.2f}s"
         )
 
 
-def _repro(command: str, *args) -> str:
-    """Suffix for a counterexample line: the command that reproduces it."""
+def repro(command: str, *args) -> str:
+    """Suffix for a counterexample or mismatch line: the command that reproduces it."""
     return "; run: sp2forms " + " ".join([command, *map(str, args)])
 
 
@@ -130,8 +128,7 @@ def _search(
     dim: int,
     grow: Callable[[Square, list[tuple[int, int]], int, int], None],
     symplectic: bool = False,
-    least_top: int = 1,
-) -> tuple[list[tuple[Partition, Square]], int]:
+) -> list[tuple[Partition, Square]]:
     """Depth-first search over the partitions of dim, pruned by a monotone rule.
 
     A node is a prefix P: the parts of size at least d, as (size,
@@ -140,8 +137,7 @@ def _search(
     low, so the leaves come in the reverse-lexicographic table order of
     :func:`enumeration.partitions`.  With ``symplectic`` an odd size only
     takes even multiplicities, which gives the order of
-    :func:`enumeration.symplectic_partitions`.  The largest part is at least
-    ``least_top``.
+    :func:`enumeration.symplectic_partitions`.
 
     ``grow(square, P, d, m)`` is a square-growth step of
     :mod:`sp2forms.jordan`, applied to a copy of the parent's square.  A
@@ -159,27 +155,17 @@ def _search(
     leaf below a node where it fails.  Likewise, once m blocks of size d
     fail, so do m + 1, and the larger multiplicities are never grown.
 
-    Pruned subtrees are counted, not generated.  The leaves below the child
-    P + m.d are its completions by parts smaller than d, of total
-    ``rest - m*d``; there are ``count_classes(rest - m*d, d)`` of them, and
-    with ``symplectic`` each class count is multiplied by 2 for every free
-    tag (an even size of even multiplicity) already in the prefix, since
-    tags of different sizes are chosen independently.
-
     Returns the surviving partitions (ascending multiplicity form, in table
-    order), each with its square, and the number of classes pruned.
+    order), each with its square.
     """
     leaves: list[tuple[Partition, Square]] = []
-    pruned = 0
 
-    def visit(prefix: list[tuple[int, int]], square: Square, rest: int, free: int) -> None:
-        nonlocal pruned
+    def visit(prefix: list[tuple[int, int]], square: Square, rest: int) -> None:
         if rest == 0:
             leaves.append((tuple(reversed(prefix)), square))
             return
         below = prefix[-1][0] if prefix else rest + 1
-        least = 1 if prefix else least_top
-        for d in range(min(below - 1, rest), least - 1, -1):
+        for d in range(min(below - 1, rest), 0, -1):
             kept: list[Square] = []  # kept[m - 1] is the square with m blocks of size d
             for m in range(1, rest // d + 1):
                 child = dict(square)
@@ -187,17 +173,12 @@ def _search(
                 if not _within_subquotient_reach(child):
                     break
                 kept.append(child)
-            for m in range(rest // d, 0, -1):
-                if symplectic and d % 2 and m % 2:
-                    continue
-                tags = free + (symplectic and d % 2 == 0 and m % 2 == 0)
-                if m > len(kept):
-                    pruned += count_classes(rest - m * d, d, symplectic) << tags
-                else:
-                    visit(prefix + [(d, m)], kept[m - 1], rest - m * d, tags)
+            for m in range(len(kept), 0, -1):
+                if not (symplectic and d % 2 and m % 2):
+                    visit(prefix + [(d, m)], kept[m - 1], rest - m * d)
 
-    visit([], {}, dim, 0)
-    return leaves, pruned
+    visit([], {}, dim)
+    return leaves
 
 
 # --- the sweeps --------------------------------------------------------------
@@ -212,13 +193,11 @@ def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanTy
     """
     report = SweepReport(name=name)
     start = time.perf_counter()
+    report.checked = sum(class_counts(max_n)[2:])
     seen = set()
     for n in range(2, max_n + 1):
-        leaves, pruned = _search(n, grow_tensor_square)
-        report.checked += pruned
-        for p, _ in leaves:
+        for p, _ in _search(n, grow_tensor_square):
             j = JordanType(p)
-            report.checked += 1
             report.evaluated += 1
             got = is_distinguished(getattr(dual_tensor_classes(j), part))
             want = j in expected
@@ -226,10 +205,10 @@ def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanTy
                 seen.add(j)
                 report.hits.append(str(j))
             if got != want:
-                report.counterexamples.append(f"{j}: distinguished={got}, expected={want}{_repro('thmA', j)}")
+                report.counterexamples.append(f"{j}: distinguished={got}, expected={want}{repro('thmA', j)}")
     for j in expected:
         if j not in seen:
-            report.counterexamples.append(f"{j}: expected distinguished, not seen{_repro('thmA', j)}")
+            report.counterexamples.append(f"{j}: expected distinguished, not seen{repro('thmA', j)}")
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -297,7 +276,7 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     report = SweepReport(name="bilinear-tensor-distinguished")
     start = time.perf_counter()
     root = isqrt(max(max_dim, 0))  # the largest dimension of a first factor
-    n = [count_classes(d, d + 1, True) for d in range(max_dim // 2 + 1)]  # classes per dimension
+    n = class_counts(max_dim // 2, True)  # classes per dimension
     report.checked = sum(n[a] * n[b] for a in range(2, root + 1, 2) for b in range(a, max_dim // a + 1, 2))
     odd_sums = _distinct_v_sums(max_dim // 2, lambda s: s.entries[0][0] % 4 == 2)
     expected = [(vtype(2), s) for s in sorted(odd_sums, key=SymplecticType.dimension)]
@@ -313,42 +292,22 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     lines = [(pair, "distinguished=True, expected=False") for pair in pairs if pair not in wanted]
     lines += [(pair, "expected distinguished, not seen") for pair in expected if pair not in seen]
     report.hits = [f"{s1} x {s2}" for s1, s2 in pairs]
-    report.counterexamples = [f"{s1} x {s2}: {why}{_repro('tensor-bilinear', s1, s2)}" for (s1, s2), why in lines]
+    report.counterexamples = [f"{s1} x {s2}: {why}{repro('tensor-bilinear', s1, s2)}" for (s1, s2), why in lines]
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _max_part_bound(dim: int) -> int:
-    """Smallest largest-block size compatible with a distinguished wedge output.
-
-    Every block of the wedge square is smaller than twice the largest input
-    block d.  A distinguished output (after the subquotient, which moves at
-    most two blocks) has at most two size-1 blocks, multiplicity at most two
-    on even sizes, and at most four at a single size, so its dimension is at
-    most 2 + M(M+2)/2 + 2M with M = 2d - 1.  Hence a class of dimension D can
-    only produce a distinguished wedge or subquotient if
-    4d^2 + 8d - 1 >= D(D-1).  Returns the smallest such d, minus a safety
-    margin of two.
-    """
-    target = dim * (dim - 1)
-    d = 1
-    while 4 * d * d + 8 * d - 1 < target:
-        d += 1
-    return max(1, d - 2)
-
-
-def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
+def verify_prop_C(max_n: int) -> SweepReport:
     """Wedge squares are distinguished only for V(4); subquotients for the {2,3,5}/{2,6} lists.
 
     Covers every symplectic class of dimension 4..2*max_n with
-    :func:`_search` on the wedge square.  Unless ``exhaustive``, classes
-    whose largest block falls below the dimension threshold of
-    :func:`_max_part_bound` are not generated, only counted in ``skipped``;
-    the answers are identical.  The expected classes must show up as hits,
-    so a bug in either reduction would surface as a counterexample.
+    :func:`_search` on the wedge square; every tag choice over a surviving
+    partition is evaluated.  The expected classes must show up as hits, so a
+    bug in the search would surface as a counterexample.
     """
     report = SweepReport(name="wedge-distinguished")
     start = time.perf_counter()
+    report.checked = sum(class_counts(2 * max_n, True)[4::2])
     for n in range(2, max_n + 1):
         expected_wedge = [vtype(4)] if n == 2 else []
         expected_irr = []
@@ -357,13 +316,8 @@ def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
         if n in (2, 6):
             expected_irr.append(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
         seen = set()
-        least = 1 if exhaustive else _max_part_bound(2 * n)
-        report.skipped += count_classes(2 * n, least, True)
-        leaves, pruned = _search(2 * n, grow_wedge_square, True, least)
-        report.checked += pruned
-        for p, _ in leaves:
+        for p, _ in _search(2 * n, grow_wedge_square, True):
             for s in epsilon_variants(p):
-                report.checked += 1
                 report.evaluated += 1
                 out = wedge_square_classes(s)
                 for kind, image, expected in (
@@ -375,10 +329,10 @@ def verify_prop_C(max_n: int, exhaustive: bool = False) -> SweepReport:
                         seen.add((kind, s))
                         report.hits.append(f"{kind} {s}")
                     if got != (s in expected):
-                        report.counterexamples.append(f"{kind} {s}: distinguished={got}{_repro('thmC', s)}")
+                        report.counterexamples.append(f"{kind} {s}: distinguished={got}{repro('thmC', s)}")
         for kind, expected in (("wedge", expected_wedge), ("irr", expected_irr)):
             for s in expected:
                 if (kind, s) not in seen:
-                    report.counterexamples.append(f"{kind} {s}: expected distinguished, not seen{_repro('thmC', s)}")
+                    report.counterexamples.append(f"{kind} {s}: expected distinguished, not seen{repro('thmC', s)}")
     report.elapsed = time.perf_counter() - start
     return report

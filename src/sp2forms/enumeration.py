@@ -9,7 +9,6 @@ tagged choice first.  Partitions are in multiplicity form, ascending
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -76,60 +75,27 @@ def epsilon_variants(p: Partition) -> Iterator[SymplecticType]:
         yield SymplecticType(tuple((d, m, tags.get(d, 1 - d % 2)) for d, m in p))
 
 
-def _times_part(ways: list[int], k: int, symplectic: bool) -> list[int]:
-    """The counts ways[r] (parts below k) times the generating function of size k.
-
-    Plain: 1/(1 - x^k).  Symplectic: an odd size takes even multiplicities,
-    1/(1 - x^2k); an even size any, with two tag choices when even and
-    positive, (1 + x^k + x^2k)/(1 - x^2k).
-    """
-    ways = list(ways)
-    step = 2 * k if symplectic else k
-    if symplectic and k % 2 == 0:
-        for r in range(len(ways) - 1, k - 1, -1):
-            ways[r] += ways[r - k] + (ways[r - step] if r >= step else 0)
-    for r in range(step, len(ways)):
-        ways[r] += ways[r - step]
-    return ways
-
-
-# _rows[symplectic][k][r]: classes of dimension r with parts at most k, for r up
-# to a width that doubles on demand; _totals[symplectic][r]: all classes of
-# dimension r.  Each is replaced whole, never changed in place.
-_rows: dict[bool, list[list[int]]] = {False: [[1]], True: [[1]]}
-_totals: dict[bool, list[int]] = {False: [1], True: [1]}
-
-
-@lru_cache(maxsize=None)
-def count_classes(dim: int, below: int, symplectic: bool = False) -> int:
-    """Number of classes of dimension dim whose parts are all smaller than below.
+def class_counts(dim: int, symplectic: bool = False) -> list[int]:
+    """Number of classes of each dimension 0..dim, as a list indexed by dimension.
 
     Plain classes are the partitions yielded by :func:`partitions`.  With
     ``symplectic=True`` they are the classes of :func:`symplectic_types`: the
     partitions of :func:`symplectic_partitions`, each counted once per tag
-    choice, so 2^(number of free sizes) times.  Sweeps use this to count a
-    whole subtree of the search without generating it.  The counts are
-    products of per-size generating functions; an unbounded count keeps only
-    the full product, so its memory is linear in dim.
+    choice, so 2^(number of free sizes) times.  The counts are the
+    coefficients of a product of per-size generating functions, taken one
+    size k at a time in place.  Plain: 1/(1 - x^k).  Symplectic: an odd size
+    takes even multiplicities, 1/(1 - x^2k); an even size any, with two tag
+    choices when even and positive, (1 + x^k + x^2k)/(1 - x^2k).
     """
-    largest = max(0, min(below - 1, dim))
-    if largest == dim:
-        totals = _totals[symplectic]
-        if dim >= len(totals):
-            totals = [1] + [0] * max(dim, 2 * len(totals))
-            for k in range(1, len(totals)):
-                totals = _times_part(totals, k, symplectic)
-            _totals[symplectic] = totals
-        return totals[dim]
-    rows = _rows[symplectic]
-    if dim >= len(rows[0]):
-        rows = [[1] + [0] * max(dim, 2 * len(rows[0]))]
-    if largest >= len(rows):
-        rows = list(rows)
-        while len(rows) <= largest:
-            rows.append(_times_part(rows[-1], len(rows), symplectic))
-        _rows[symplectic] = rows
-    return rows[largest][dim]
+    ways = [1] + [0] * max(dim, 0)
+    for k in range(1, dim + 1):
+        step = 2 * k if symplectic else k
+        if symplectic and k % 2 == 0:
+            for r in range(dim, k - 1, -1):
+                ways[r] += ways[r - k] + (ways[r - step] if r >= step else 0)
+        for r in range(step, dim + 1):
+            ways[r] += ways[r - step]
+    return ways
 
 
 def symplectic_types(

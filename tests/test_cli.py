@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sp2forms import cli
 from sp2forms.cli import main
 from sp2forms.hesselink import EpsilonTaggedType
 from sp2forms.jordan import JordanType
@@ -126,13 +127,35 @@ class TestSweepCommands:
         assert code == 0
         assert out.count("PASS") == 4
 
-    def test_distinguished_prints_skipped(self, capsys):
-        # the wedge classes left out by the largest-part bound show in the text output, not only in --json
+    def test_distinguished_prints_closed_count(self, capsys):
+        # checked counts every class in range, evaluated what the rules engine computed; nothing is skipped
         code, out, _ = run(capsys, "distinguished", "--max-n", "22", "--max-dim", "44")
         assert code == 0
         wedge = [line for line in out.splitlines() if "wedge-distinguished" in line]
-        assert len(wedge) == 1 and "12211 checked, 13 evaluated, 79547 skipped, " in wedge[0]
-        assert out.count(" 0 skipped, ") == 3
+        assert len(wedge) == 1 and "91758 checked, 13 evaluated, " in wedge[0]
+        assert "skipped" not in out
+
+    @pytest.mark.parametrize(
+        "argv", [("--max-n", "1001"), ("--max-dim", "401"), ("--max-n", "-1"), ("--max-dim", "-1")]
+    )
+    def test_distinguished_bounds_are_capped(self, capsys, monkeypatch, argv):
+        # argparse rejects a bound past its cap before any sweep starts
+        for name in ("verify_prop_A_tensor", "verify_prop_A_irr", "verify_prop_tensor", "verify_prop_C"):
+            monkeypatch.setattr(cli, name, lambda bound: pytest.fail("a sweep started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["distinguished", *argv])
+        assert exc.value.code == 2
+        cap = "0..1000" if argv[0] == "--max-n" else "0..400"
+        assert f"argument {argv[0]}: {argv[1]} is outside {cap}" in capsys.readouterr().err
+
+    def test_distinguished_help_states_the_caps(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["distinguished", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "single-space sweeps, 0..1000" in out and "pair sweep, 0..400" in out
+        # the caps themselves are in range (parsed only; no sweep runs)
+        args = cli.build_parser().parse_args(["distinguished", "--max-n", "1000", "--max-dim", "400"])
+        assert (args.max_n, args.max_dim) == (1000, 400)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sp2forms import crosscheck
 from sp2forms.crosscheck import (
     check_linear_instance,
     check_symplectic_instance,
@@ -13,7 +14,9 @@ from sp2forms.crosscheck import (
     run_crosscheck,
     sweep_tasks,
 )
-from sp2forms.hesselink import orthogonal_sum, vtype, wtype
+from sp2forms.hesselink import SymplecticType, orthogonal_sum, vtype, wtype
+from sp2forms.jordan import JordanType
+from sp2forms.reps import dual_tensor_classes, wedge_square_classes
 
 
 @st.composite
@@ -115,3 +118,26 @@ def test_report_json_shape():
     assert data["ok"] is True
     assert data["mismatches"] == []
     assert data["symplectic_checked"] >= 1
+
+
+def test_mismatch_and_parity_lines_end_with_a_reproduction_command(monkeypatch):
+    # rules that answer for classes of another dimension mismatch on every instance
+    wrong_c = wedge_square_classes(SymplecticType.parse("8_1"))
+    wrong_a = dual_tensor_classes(JordanType.parse("7"))
+    monkeypatch.setattr(crosscheck, "wedge_square_classes", lambda s: wrong_c)
+    monkeypatch.setattr(crosscheck, "dual_tensor_classes", lambda j: wrong_a)
+    monkeypatch.setattr(crosscheck, "_parity_problems", lambda tagged, nondegenerate, context: [f"{context}: forced"])
+    report = run_crosscheck(max_dim=4, max_n=3, jobs=1)
+    instances = report.symplectic_checked + report.linear_checked
+    assert len(report.mismatches) == len(report.parity_violations) == 2 * instances
+    for line in report.mismatches + report.parity_violations:
+        label, _, rest = line.partition("(")
+        command = "thmC" if label.startswith("wedge") else "thmA"
+        assert line.endswith(f"; run: sp2forms {command} {rest.partition(')')[0]}"), line
+    assert f"wedge(4_1): matrices give 2_1,4_1, rules give {wrong_c.wedge_space}; run: sp2forms thmC 4_1" in (
+        report.mismatches
+    )
+    assert f"dual-sub(3): matrices give 4_1^2, rules give {wrong_a.irreducible}; run: sp2forms thmA 3" in (
+        report.mismatches
+    )
+    assert "wedge-sub(2_0^2): forced; run: sp2forms thmC 2_0^2" in report.parity_violations

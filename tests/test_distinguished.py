@@ -1,24 +1,21 @@
 """Tests for the distinguished-class predicate and verification sweeps."""
 
-from itertools import takewhile
-
 import pytest
 
 from sp2forms import distinguished, hesselink
 from sp2forms.distinguished import (
     _distinct_v_sums,
-    _max_part_bound,
-    _repro,
     _search,
     _within_subquotient_reach,
     is_distinguished,
+    repro,
     verify_prop_A_irr,
     verify_prop_A_tensor,
     verify_prop_C,
     verify_prop_tensor,
 )
 from sp2forms.enumeration import (
-    count_classes,
+    class_counts,
     epsilon_variants,
     jordan_types,
     partitions,
@@ -81,44 +78,23 @@ class TestSweeps:
         assert "irr 2_1,10_1" in report.hits
         assert len([h for h in report.hits if h.startswith("wedge")]) == 1
 
-    def test_bounded_matches_exhaustive(self):
-        for n in (6, 9, 11):
-            full = verify_prop_C(n, exhaustive=True)
-            fast = verify_prop_C(n)
-            assert full.ok and fast.ok
-            assert sorted(full.hits) == sorted(fast.hits)
-
-    def test_max_part_bound_is_safe(self):
-        # every class below the bound really has an over-large wedge multiplicity
-        from sp2forms.enumeration import symplectic_partitions
-        from sp2forms.jordan import JordanType, wedge_square
-
-        for dim in (8, 12, 16):
-            bound = _max_part_bound(dim)
-            for p in symplectic_partitions(dim):
-                if p[-1][0] >= bound:
-                    continue
-                lam = wedge_square(JordanType(p))
-                assert any(m > 4 for _, m in lam.blocks) or sum(
-                    1 for d, m in lam.blocks if m > 2
-                ) > 1 or any(d % 2 and d > 1 for d, _ in lam.blocks) or lam.to_dict().get(1, 0) > 2
-
     @pytest.mark.parametrize(
         "sweep,args,checked",
         [
-            (verify_prop_C, (6,), 106),
-            (verify_prop_C, (6, True), 117),
-            (verify_prop_C, (9,), 379),
-            (verify_prop_C, (9, True), 574),
-            (verify_prop_C, (12,), 951),
-            (verify_prop_C, (12, True), 2256),
+            (verify_prop_C, (22,), 91758),
+            (verify_prop_C, (6,), 117),
+            (verify_prop_A_tensor, (22,), 4506),
+            (verify_prop_C, (9,), 574),
+            (verify_prop_A_irr, (22,), 4506),
+            (verify_prop_C, (12,), 2256),
             (verify_prop_A_tensor, (10,), 137),
             (verify_prop_A_irr, (10,), 137),
             (verify_prop_tensor, (28,), 484),
+            (verify_prop_tensor, (44,), 3312),
         ],
     )
     def test_checked_counts(self, sweep, args, checked):
-        # the checked counts are part of each report and must not move with the enumeration
+        # checked is the closed count of every class or pair in range, whatever the search prunes
         assert sweep(*args).checked == checked
 
     def test_report_json(self):
@@ -130,9 +106,9 @@ class TestSweeps:
         "sweep,args,evaluated",
         [
             (verify_prop_C, (6,), 12),
-            (verify_prop_C, (6, True), 12),
+            (verify_prop_C, (9,), 13),
             (verify_prop_C, (12,), 13),
-            (verify_prop_C, (12, True), 13),
+            (verify_prop_C, (40,), 13),
             (verify_prop_C, (22,), 13),
             (verify_prop_A_tensor, (10,), 8),
             (verify_prop_A_irr, (10,), 8),
@@ -149,23 +125,10 @@ class TestSweeps:
         assert report.to_json()["evaluated"] == evaluated
         assert f"{report.checked} checked, {evaluated} evaluated" in report.summary()
 
-    @pytest.mark.parametrize("n", [6, 9, 12])
-    def test_skipped_completes_checked(self, n):
-        # the classes below _max_part_bound are counted in skipped, so nothing in range goes uncounted
-        bounded, full = verify_prop_C(n), verify_prop_C(n, True)
-        assert bounded.checked + bounded.skipped == full.checked
-        assert bounded.to_json()["skipped"] == bounded.skipped > 0
-        assert f"{bounded.evaluated} evaluated, {bounded.skipped} skipped, " in bounded.summary()
-        assert full.skipped == 0
-
-    def test_other_sweeps_skip_nothing(self):
-        for report in (verify_prop_A_tensor(10), verify_prop_A_irr(10), verify_prop_tensor(28)):
-            assert report.skipped == 0
-            assert report.to_json()["skipped"] == 0
-
     def test_prop_C_to_600(self):
         # past the old limit of the recursive class count (a RecursionError at n = 550)
-        assert verify_prop_C(600).ok
+        report = verify_prop_C(600)
+        assert report.ok and report.checked == sum(class_counts(1200, True)[4::2])
 
     def test_sweeps_to_100(self):
         # the paper's lists hold far beyond the acceptance bounds
@@ -246,9 +209,9 @@ def _reference_dual(name, max_n, part, expected):
                 seen.add(j)
                 report.hits.append(str(j))
             if got != (j in expected):
-                report.counterexamples.append(f"{j}: distinguished={got}, expected={j in expected}{_repro('thmA', j)}")
+                report.counterexamples.append(f"{j}: distinguished={got}, expected={j in expected}{repro('thmA', j)}")
     report.counterexamples += [
-        f"{j}: expected distinguished, not seen{_repro('thmA', j)}" for j in expected if j not in seen
+        f"{j}: expected distinguished, not seen{repro('thmA', j)}" for j in expected if j not in seen
     ]
     return report
 
@@ -277,10 +240,10 @@ def _reference_tensor(max_dim):
                         report.hits.append(f"{s1} x {s2}")
                     if got != want:
                         report.counterexamples.append(
-                            f"{s1} x {s2}: distinguished={got}, expected={want}{_repro('tensor-bilinear', s1, s2)}"
+                            f"{s1} x {s2}: distinguished={got}, expected={want}{repro('tensor-bilinear', s1, s2)}"
                         )
     report.counterexamples += [
-        f"{v2} x {s}: expected distinguished, not seen{_repro('tensor-bilinear', v2, s)}"
+        f"{v2} x {s}: expected distinguished, not seen{repro('tensor-bilinear', v2, s)}"
         for dim in sorted(by_dim)
         for s in by_dim[dim]
         if odd_sum(s) and (v2, s) not in seen
@@ -288,7 +251,7 @@ def _reference_tensor(max_dim):
     return report
 
 
-def _reference_C(max_n, exhaustive):
+def _reference_C(max_n):
     """Every symplectic class of dimension 4..2*max_n through wedge_square_classes."""
     report = distinguished.SweepReport(name="wedge-distinguished")
     for n in range(2, max_n + 1):
@@ -297,11 +260,7 @@ def _reference_C(max_n, exhaustive):
         if n in (2, 6):
             expected_irr.append(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
         seen = set()
-        source = symplectic_partitions(2 * n)
-        if not exhaustive:
-            bound = _max_part_bound(2 * n)
-            source = takewhile(lambda p: p[-1][0] >= bound, source)
-        for p in source:
+        for p in symplectic_partitions(2 * n):
             for s in epsilon_variants(p):
                 report.checked += 1
                 out = wedge_square_classes(s)
@@ -312,10 +271,10 @@ def _reference_C(max_n, exhaustive):
                         seen.add((kind, s))
                         report.hits.append(f"{kind} {s}")
                     if got != (s in expected):
-                        report.counterexamples.append(f"{kind} {s}: distinguished={got}{_repro('thmC', s)}")
+                        report.counterexamples.append(f"{kind} {s}: distinguished={got}{repro('thmC', s)}")
         for kind, expected in (("wedge", expected_wedge), ("irr", expected_irr)):
             report.counterexamples += [
-                f"{kind} {s}: expected distinguished, not seen{_repro('thmC', s)}"
+                f"{kind} {s}: expected distinguished, not seen{repro('thmC', s)}"
                 for s in expected
                 if (kind, s) not in seen
             ]
@@ -343,27 +302,27 @@ class TestAgainstExhaustive:
     def test_pair_sweep(self, max_dim):
         _same_report(verify_prop_tensor(max_dim), _reference_tensor(max_dim))
 
-    @pytest.mark.parametrize("max_n", [2, 3, 6, 10])
+    @pytest.mark.parametrize("max_n", [2, 3, 6, 10, 12])
     @pytest.mark.parametrize("exhaustive", [False, True])
-    def test_wedge_sweep(self, max_n, exhaustive):
-        _same_report(verify_prop_C(max_n, exhaustive), _reference_C(max_n, exhaustive))
+    def test_wedge_sweep(self, max_n, exhaustive, monkeypatch):
+        # exhaustive: the search's rule switched off, so every class in range is evaluated
+        if exhaustive:
+            monkeypatch.setattr(distinguished, "_within_subquotient_reach", lambda square: True)
+        report = verify_prop_C(max_n)
+        _same_report(report, _reference_C(max_n))
+        assert (report.evaluated == report.checked) is exhaustive
 
 
 class TestSearch:
     def test_pruned_counts_match_generators(self):
-        # count_classes(r, below) is the number of classes of dimension r with all parts below `below`
+        # class_counts(dim)[r] is the number of classes of dimension r that the generators yield
+        plain, tagged = class_counts(30), class_counts(30, True)
+        assert len(plain) == len(tagged) == 31
         for r in range(31):
-            plain = [0] * (r + 2)
-            for p in partitions(r):
-                plain[p[-1][0] if p else 0] += 1
-            tagged = [0] * (r + 2)
-            for s in symplectic_types(r):
-                tagged[s.entries[-1][0] if s.entries else 0] += 1
-            for below in range(1, r + 3):
-                assert count_classes(r, below) == sum(plain[:below])
-                assert count_classes(r, below, True) == sum(tagged[:below])
-        assert count_classes(30, 31) == len(list(partitions(30)))
-        assert count_classes(30, 31, True) == len(list(symplectic_types(30)))
+            assert plain[r] == len(list(partitions(r)))
+            assert tagged[r] == len(list(symplectic_types(r)))
+        assert class_counts(-3) == class_counts(0) == [1]
+        assert class_counts(1) == [1, 1] and class_counts(1, True) == [1, 0]
 
     @staticmethod
     def _prefixes(j):
@@ -387,18 +346,16 @@ class TestSearch:
         # with nothing pruned, the search yields every partition in table order with its square
         monkeypatch.setattr(distinguished, "_within_subquotient_reach", lambda square: True)
         for n in range(1, 13):
-            leaves, pruned = _search(n, grow_tensor_square)
-            assert pruned == 0
+            leaves = _search(n, grow_tensor_square)
             assert [p for p, _ in leaves] == list(partitions(n))
             assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in leaves)
 
-            leaves, pruned = _search(n, grow_wedge_square, symplectic=True)
-            assert pruned == 0
+            leaves = _search(n, grow_wedge_square, symplectic=True)
             assert [p for p, _ in leaves] == list(symplectic_partitions(n))
             assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in leaves)
 
             for j1 in jordan_types(4):
-                leaves, _ = _search(n, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), symplectic=True)
+                leaves = _search(n, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), symplectic=True)
                 assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves)
 
     def test_product_class_has_the_product_jordan_type(self):
@@ -408,14 +365,6 @@ class TestSearch:
                 for s1 in symplectic_types(dim1):
                     for s2 in symplectic_types(dim2):
                         assert tensor_bilinear(s1, s2).jordan() == tensor(s1.jordan(), s2.jordan())
-
-    def test_pruning_keeps_every_class_counted(self):
-        for n in (6, 10, 14):
-            leaves, pruned = _search(n, grow_tensor_square)
-            assert pruned + len(leaves) == count_classes(n, n + 1)
-            leaves, pruned = _search(2 * n, grow_wedge_square, symplectic=True)
-            variants = sum(len(list(epsilon_variants(p))) for p, _ in leaves)
-            assert pruned + variants == count_classes(2 * n, 2 * n + 1, True)
 
     def test_pair_pieces_have_even_multiplicity(self):
         # the pair sweep's lemma rests on this: every piece of a product of two indecomposables

@@ -1,7 +1,7 @@
 """Tests for the deterministic enumeration used by tables and sweeps."""
 
 from sp2forms.enumeration import (
-    count_classes,
+    class_counts,
     epsilon_variants,
     jordan_types,
     partitions,
@@ -106,5 +106,5 @@ def _coin_change_symplectic_count(n):
 
 def test_count_classes_large():
     # no recursion: the counts reach dimensions far past the interpreter's stack limit
-    assert count_classes(3000, 3001) == _pentagonal_partition_count(3000)
-    assert count_classes(2000, 2001, True) == _coin_change_symplectic_count(2000)
+    assert class_counts(3000)[3000] == _pentagonal_partition_count(3000)
+    assert class_counts(2000, True)[2000] == _coin_change_symplectic_count(2000)

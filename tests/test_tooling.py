@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import sp2forms
@@ -22,18 +23,24 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
-def _load_spans():
-    """perfbench/spans.py, loaded from its file; nothing is installed, so no function is rebound."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py, loaded from its file; nothing is installed, so no function is rebound.
+
+    The module is in sys.modules for the test's duration only, as its dataclasses need.
+    """
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_benchmark_names_exist_in_the_package():
+def test_benchmark_names_exist_in_the_package(monkeypatch):
     # install and install_marks only list the names they miss, so a moved function would drop its span silently
-    spans = _load_spans()
+    spans = _load_perfbench("spans", monkeypatch)
     missing = []
     for name in dict.fromkeys(spans.SPANS + spans.MARKS):
         module, func = name.split(".", 1)
@@ -49,3 +56,14 @@ def test_benchmark_names_exist_in_the_package():
             missing.append(name)
     assert len(spans.SPANS) > 20 and spans.COUNTED_METHODS  # the lists were read, so the check is not vacuous
     assert not missing, missing
+
+
+def test_sweep_reports_satisfy_the_benchmark_checks(monkeypatch):
+    # the sweep workload reads the --json reports; a change to SweepReport.to_json that breaks it fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load_perfbench("workloads", monkeypatch)
+    outcome = workloads._run_sweep(None, [])
+    tally = workloads.Tally()
+    workloads._check_sweep(workloads.DEFAULT_SEED, None, outcome, tally)
+    assert tally.attempted > outcome.items > 0  # every class checked and every whole-output check counted
+    assert tally.failed == 0, tally.notes
