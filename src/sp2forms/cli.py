@@ -34,6 +34,14 @@ from .reps import dual_tensor_classes, wedge_square_classes
 MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 
+# Caps on the oracle-check bounds, which drive time.  Its cost about doubles
+# for each +2 in symplectic dimension: on a 2-CPU host with --jobs 1,
+# --max-dim 24 (2,256 symplectic classes) takes 25 s and --max-n 16 (913
+# Jordan types, dual tensor squares up to dimension 256) 7 s, each in
+# about 19 MB.
+ORACLE_MAX_DIM_CAP = 24
+ORACLE_MAX_N_CAP = 16
+
 
 def _parse_or_exit(parser_fn, text: str, what: str):
     try:
@@ -270,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("oracle-check", help="Matrix cross-check of the combinatorial rules.")
-    p.add_argument("--max-dim", type=int, default=8, help="largest symplectic dimension to sweep")
-    p.add_argument("--max-n", type=int, default=6, help="largest special linear dimension to sweep")
+    p.add_argument("--max-dim", type=_bounded(ORACLE_MAX_DIM_CAP), default=8,
+                   help=f"largest symplectic dimension to sweep, 0..{ORACLE_MAX_DIM_CAP}")
+    p.add_argument("--max-n", type=_bounded(ORACLE_MAX_N_CAP), default=6,
+                   help=f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default $SP2FORMS_JOBS or 1)")
     p.add_argument("--dump-matrices", action="store_true", help="print small constructed matrices as 0/1 grids")
     p.add_argument("--json", action="store_true")

@@ -7,7 +7,8 @@ Likewise on the special linear side with the dual tensor square.  The sweep
 also records violations of the two tag parity laws (a tagged size must be
 even; odd multiplicity on a non-degenerate space forces the tag), which must
 never occur.  Every mismatch and violation line ends with the command that
-reproduces the rules' side of it.
+reproduces the rules' side of it.  The report also totals the time of each
+matrix stage over all instances (``STAGES``).
 """
 
 from __future__ import annotations
@@ -23,16 +24,39 @@ from .hesselink import EpsilonTaggedType, SymplecticType
 from .jordan import JordanType
 from .reps import dual_tensor_classes, wedge_square_classes
 
+# Matrix stages timed per instance: the input space or operator, the wedge or
+# dual tensor square, the power chains with their eps tags, the subquotient,
+# and the non-degeneracy ranks.  The rules' side is not timed.
+STAGES = ("build", "construction", "chain", "subquotient", "rank")
+
+
+class _Stopwatch:
+    """Adds the time since the previous lap to the lap's stage in totals."""
+
+    def __init__(self, totals: dict[str, float]):
+        self.totals = totals
+        self.last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.totals[stage] = self.totals.get(stage, 0.0) + now - self.last
+        self.last = now
+
 
 @dataclass
 class CrosscheckReport:
-    """Outcome of an equivalence sweep."""
+    """Outcome of an equivalence sweep.
+
+    stage_seconds totals each of ``STAGES`` over all instances; with worker
+    processes it sums their times, so it can exceed the elapsed wall time.
+    """
 
     symplectic_checked: int = 0
     linear_checked: int = 0
     mismatches: list[str] = field(default_factory=list)
     parity_violations: list[str] = field(default_factory=list)
     elapsed: float = 0.0
+    stage_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     @property
     def ok(self) -> bool:
@@ -45,6 +69,7 @@ class CrosscheckReport:
             "mismatches": self.mismatches,
             "parity_violations": self.parity_violations,
             "elapsed_seconds": self.elapsed,
+            "stage_seconds": self.stage_seconds,
             "ok": self.ok,
         }
 
@@ -53,7 +78,7 @@ class CrosscheckReport:
         return (
             f"{status}: {self.symplectic_checked} symplectic + {self.linear_checked} linear instances, "
             f"{len(self.mismatches)} mismatches, {len(self.parity_violations)} parity violations, "
-            f"{self.elapsed:.2f}s"
+            f"{self.elapsed:.2f}s; stages " + ", ".join(f"{stage} {t:.2f}s" for stage, t in self.stage_seconds.items())
         )
 
 
@@ -74,56 +99,82 @@ def _compare(
     built: oracle.PointedSpace,
     full_rule: EpsilonTaggedType,
     irr_rule: SymplecticType,
+    clock: _Stopwatch,
 ) -> tuple[str, list[str], list[str]]:
     """Check a built space and its fixed-vector subquotient against the rules' classes.
 
     Returns (text, mismatches, parity violations); labels name the full space
     and the subquotient in the messages, and each line ends with
-    ``sp2forms <command> <text>``.
+    ``sp2forms <command> <text>``.  clock takes a lap after each stage.
     """
     full_label, sub_label = (f"{label}({text})" for label in labels)
     space, vector = built
     mismatches = []
 
     full = oracle.hesselink_of_space(space)
+    clock.lap("chain")
     if full != full_rule:
         mismatches.append(f"{full_label}: matrices give {full}, rules give {full_rule}")
-    parity = _parity_problems(full, space.is_nondegenerate(), full_label)
+    nondegenerate = space.is_nondegenerate()
+    clock.lap("rank")
+    parity = _parity_problems(full, nondegenerate, full_label)
 
     sub = oracle.subquotient(space, vector)
+    clock.lap("subquotient")
     irr = oracle.hesselink_of_space(sub)
+    clock.lap("chain")
     if irr != irr_rule:
         mismatches.append(f"{sub_label}: matrices give {irr}, rules give {irr_rule}")
-    if not sub.is_nondegenerate():
+    nondegenerate = sub.is_nondegenerate()
+    clock.lap("rank")
+    if not nondegenerate:
         mismatches.append(f"{sub_label}: subquotient form is degenerate")
     parity += _parity_problems(irr, True, sub_label)
     suffix = repro(command, text)
     return (text, [line + suffix for line in mismatches], [line + suffix for line in parity])
 
 
-def check_symplectic_instance(type_string: str) -> tuple[str, list[str], list[str]]:
-    """Compare the wedge pipeline for one symplectic class; returns (desc, mismatches, parity)."""
+def check_symplectic_instance(
+    type_string: str, stage_seconds: dict[str, float] | None = None
+) -> tuple[str, list[str], list[str]]:
+    """Compare the wedge pipeline for one symplectic class; returns (desc, mismatches, parity).
+
+    The time of each matrix stage is added to stage_seconds when it is given.
+    """
     s = SymplecticType.parse(type_string)
     predicted = wedge_square_classes(s)
-    built = oracle.wedge_space(oracle.space_from_type(s))
-    return _compare(type_string, "thmC", ("wedge", "wedge-sub"), built, predicted.wedge_space, predicted.irreducible)
-
-
-def check_linear_instance(jordan_string: str) -> tuple[str, list[str], list[str]]:
-    """Compare the dual tensor pipeline for one Jordan type."""
-    j = JordanType.parse(jordan_string)
-    predicted = dual_tensor_classes(j)
-    built = oracle.dual_tensor_space(oracle.unipotent_from_jordan(j))
+    clock = _Stopwatch({} if stage_seconds is None else stage_seconds)
+    space = oracle.space_from_type(s)
+    clock.lap("build")
+    built = oracle.wedge_space(space)
+    clock.lap("construction")
     return _compare(
-        jordan_string, "thmA", ("dual-tensor", "dual-sub"), built, predicted.tensor_space, predicted.irreducible
+        type_string, "thmC", ("wedge", "wedge-sub"), built, predicted.wedge_space, predicted.irreducible, clock
     )
 
 
-def _run_one(task: tuple[str, str]) -> tuple[str, list[str], list[str]]:
+def check_linear_instance(
+    jordan_string: str, stage_seconds: dict[str, float] | None = None
+) -> tuple[str, list[str], list[str]]:
+    """Compare the dual tensor pipeline for one Jordan type; stage times as for the wedge pipeline."""
+    j = JordanType.parse(jordan_string)
+    predicted = dual_tensor_classes(j)
+    clock = _Stopwatch({} if stage_seconds is None else stage_seconds)
+    u = oracle.unipotent_from_jordan(j)
+    clock.lap("build")
+    built = oracle.dual_tensor_space(u)
+    clock.lap("construction")
+    return _compare(
+        jordan_string, "thmA", ("dual-tensor", "dual-sub"), built, predicted.tensor_space, predicted.irreducible, clock
+    )
+
+
+def _run_one(task: tuple[str, str]) -> tuple[tuple[str, list[str], list[str]], dict[str, float]]:
+    """One instance's result and its stage times, which a worker process sends back with it."""
     kind, arg = task
-    if kind == "sp":
-        return check_symplectic_instance(arg)
-    return check_linear_instance(arg)
+    stage_seconds: dict[str, float] = {}
+    check = check_symplectic_instance if kind == "sp" else check_linear_instance
+    return check(arg, stage_seconds), stage_seconds
 
 
 def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:
@@ -171,7 +222,9 @@ def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int | None = None) -
             results = pool.map(_run_one, tasks, chunksize=4)
     else:
         results = [_run_one(t) for t in tasks]
-    for (kind, _), (_, mismatches, parity) in zip(tasks, results):
+    for (kind, _), ((_, mismatches, parity), stage_seconds) in zip(tasks, results):
+        for stage, t in stage_seconds.items():
+            report.stage_seconds[stage] += t
         if kind == "sp":
             report.symplectic_checked += 1
         else:

@@ -7,12 +7,16 @@ Jordan types (rank profiles of powers of u - 1), eps tags (a linear
 functional on the kernel of a power), and subquotients by a fixed vector.
 
 A matrix keeps its rows as Python ints used as bitsets, plus a column view
-built on first use and then kept.  Products XOR whole rows, and a matrix
-applies to a vector as the XOR of the columns the vector selects.  One
-echelon helper serves rank, kernel and inverse.  Wedge squares are built
-from the columns of u and the rows of the Gram matrix, one x ^ y at a time,
-and one chain of powers of u - 1 gives both the Jordan type and the eps
-tags.  Dimensions up to a few hundred are cheap.
+built on first use and then kept.  A matrix applies to a vector as the XOR
+of the columns the vector selects, and products XOR whole rows; the oracle's
+own stages avoid products and work on these views.  One chain of powers of
+X = u - 1, each column of a power being X applied to the same column of the
+power before, gives both the Jordan type and the eps tags.  Invariance of a
+form is checked one column of u^T G u at a time, and a subquotient is
+written straight from an explicit basis of the perp of its fixed vector.
+One echelon helper serves rank, kernel and inverse.  Wedge squares are built
+from the columns of u and the rows of the Gram matrix, one x ^ y at a time.
+Dimensions up to a few hundred are cheap.
 """
 
 from __future__ import annotations
@@ -238,24 +242,26 @@ def _block_diag(blocks: list[Gf2Matrix]) -> Gf2Matrix:
 def _power_chain(u: Gf2Matrix) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """Columns, ranks and kernel bases of X^0, X^1, ..., X^h for X = u - 1.
 
-    X^h is the first zero power.  Column j of X^(k+1) = X^k X is X^k applied
-    to column j of X, which is sparse, and one elimination of the columns of
-    X^k gives both its rank and a basis of its kernel.  The ranks fall until
-    the image of X^k stops shrinking, and then stay put; so u is unipotent
-    exactly when they fall to zero, and the chain raises as soon as two
-    consecutive ranks are equal.
+    X^h is the first zero power.  Column j of X^(k+1) is X applied to column
+    j of X^k, so a column that has become zero stays zero at no cost; the
+    columns of X are those of u with the diagonal bit flipped.  One
+    elimination of the columns of X^k gives both its rank and a basis of its
+    kernel.  The ranks fall until the image of X^k stops shrinking, and then
+    stay put; so u is unipotent exactly when they fall to zero, and the
+    chain raises as soon as two consecutive ranks are equal.
     """
     n = u.nrows
-    x = u.add(Gf2Matrix.identity(n)).cols
+    x = [c ^ (1 << j) for j, c in enumerate(u.cols)]
     powers, ranks, kernels = [[1 << i for i in range(n)]], [n], [[]]
+    cols = x
     while ranks[-1]:
-        cols = [_combine(powers[-1], c) for c in x]
         pivots, kernel = _echelon(cols)
         if len(pivots) == ranks[-1]:
             raise ValueError("matrix is not unipotent: rank profile does not vanish")
         powers.append(cols)
         ranks.append(len(pivots))
         kernels.append(kernel)
+        cols = [_combine(x, c) if c else 0 for c in cols]
     return powers, ranks, kernels
 
 
@@ -295,10 +301,13 @@ class BilinearSpace:
             raise ValueError("operator and Gram matrix must be square of equal size")
         if self.gram.rows != self.gram.cols:
             raise ValueError("Gram matrix must be symmetric")
-        if any((self.gram.rows[i] >> i) & 1 for i in range(n)):
+        g = self.gram.rows
+        if any((g[i] >> i) & 1 for i in range(n)):
             raise ValueError("Gram matrix must have zero diagonal (alternating form)")
-        # associated so that both products select with the sparse rows of G and of u^T
-        if self.u.transpose().mul(self.gram.mul(self.u)) != self.gram:
+        # column j of u^T G u is u^T G (u e_j); G is symmetric, so its rows are
+        # its columns, and the rows of u are the columns of u^T
+        ut = self.u.rows
+        if any(_combine(ut, _combine(g, c)) != g[j] for j, c in enumerate(self.u.cols)):
             raise ValueError("form is not invariant under the operator")
 
     @property
@@ -470,10 +479,14 @@ def wedge_space(a: BilinearSpace) -> PointedSpace:
 def _epsilon(a: BilinearSpace, xd1: list[int], kernel: list[int]) -> int:
     """1 iff b(X^(d-1) v, v) != 0 for some v in Ker X^d.
 
-    xd1 holds the columns of X^(d-1) and kernel a basis of Ker X^d.
+    xd1 holds the columns of X^(d-1) and kernel a basis of Ker X^d.  A v
+    with X^(d-1) v = 0 pairs to zero; otherwise b(y, v) is the parity of
+    G y & v, and the rows of the symmetric G are its columns.
     """
+    g = a.gram.rows
     for v in kernel:
-        if a.form(_combine(xd1, v), v):
+        y = _combine(xd1, v)
+        if y and (_combine(g, y) & v).bit_count() & 1:
             return 1
     return 0
 
@@ -514,7 +527,10 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
     the basis k_i = e_i + f_i e_q (i != q), or k_i = e_i when f = 0, and a
     perp vector x has coordinate x_i on k_i.  For a bit p != q of v, the k_i
     with i not in {p, q} span a complement of v, since
-    x = x_p v + sum of (x + x_p v)_i k_i.
+    x = x_p v + sum of (x + x_p v)_i k_i.  So the induced operator's column i
+    is the coordinate vector of u k_i = u e_i + f_i u e_q, and the induced
+    Gram row i lists b(k_i, k_j) = y_j + f_j y_q for the row
+    y = g_i + f_i g_q of G k_i, with the bits p and q squeezed out.
     """
     if v == 0:
         raise ValueError("fixed vector must be nonzero")
@@ -524,25 +540,30 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
         raise ValueError("vector is not orthogonal to itself")
     f = a.gram.matvec(v)
     fq = f & -f
+    q = fq.bit_length() - 1
     rest = v & ~fq
     if not rest:
         raise RuntimeError("fixed vector should lie in its own perp")
     p = (rest & -rest).bit_length() - 1
-    dropped = sorted({p, fq.bit_length() - 1} - {-1}, reverse=True)
+    dropped = sorted({p, q} - {-1}, reverse=True)
 
-    def coords(x: int) -> int:
-        if (x >> p) & 1:
-            x ^= v
+    def squeeze(x: int) -> int:
         for b in dropped:
             x = (x & ((1 << b) - 1)) | (x >> (b + 1) << b)
         return x
 
-    basis = [(1 << i) | (fq if (f >> i) & 1 else 0) for i in range(a.dim) if i not in dropped]
-    k = len(basis)
-    u = Gf2Matrix.from_columns(k, [coords(a.u.matvec(b)) for b in basis])
-    inclusion = Gf2Matrix(k, a.dim, basis)
-    gram = inclusion.mul(a.gram).mul(inclusion.transpose())
-    return BilinearSpace(u, gram)
+    ucols, g = a.u.cols, a.gram.rows
+    # f = 0 (v in the radical) leaves q = -1 and fq = 0: every f_i and y_q
+    # reads 0, so neither ucols[q] nor g[q] is used
+    u_cols, g_rows = [], []
+    for i in range(a.dim):
+        if i == p or i == q:
+            continue
+        c, y = (ucols[i] ^ ucols[q], g[i] ^ g[q]) if (f >> i) & 1 else (ucols[i], g[i])
+        u_cols.append(squeeze(c ^ v if (c >> p) & 1 else c))
+        g_rows.append(squeeze(y ^ f if y & fq else y))
+    k = len(u_cols)
+    return BilinearSpace(Gf2Matrix.from_columns(k, u_cols), Gf2Matrix(k, k, g_rows))
 
 
 def restricted_space(a: BilinearSpace, alpha: int) -> BilinearSpace:

@@ -122,6 +122,28 @@ class TestSweepCommands:
         assert code == 0
         assert "u =" in out and "gram =" in out
 
+    @pytest.mark.parametrize(
+        "argv", [("--max-dim", "25"), ("--max-n", "17"), ("--max-dim", "-1"), ("--max-n", "-1")]
+    )
+    def test_oracle_check_bounds_are_capped(self, capsys, monkeypatch, argv):
+        # argparse rejects a bound past its cap before the sweep starts
+        monkeypatch.setattr(cli, "run_crosscheck", lambda **kwargs: pytest.fail("the sweep started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", *argv])
+        assert exc.value.code == 2
+        cap = "0..24" if argv[0] == "--max-dim" else "0..16"
+        assert f"argument {argv[0]}: {argv[1]} is outside {cap}" in capsys.readouterr().err
+
+    def test_oracle_check_help_states_the_caps(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["oracle-check", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "symplectic dimension to sweep, 0..24" in out and "linear dimension to sweep, 0..16" in out
+        # the caps and the benchmark's bounds are in range (parsed only; no sweep runs)
+        for max_dim, max_n in ((24, 16), (12, 8)):
+            args = cli.build_parser().parse_args(["oracle-check", "--max-dim", str(max_dim), "--max-n", str(max_n)])
+            assert (args.max_dim, args.max_n) == (max_dim, max_n)
+
     def test_distinguished(self, capsys):
         code, out, _ = run(capsys, "distinguished", "--max-n", "6", "--max-dim", "16")
         assert code == 0

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,10 +48,10 @@ def test_small_sweep_passes():
     assert report.linear_checked == sum(1 for k, _ in sweep_tasks(8, 5) if k == "sl")
 
 
-def test_sweep_to_dim_18_passes():
-    report = run_crosscheck(max_dim=18, max_n=10, jobs=1)
+def test_sweep_to_dim_20_passes():
+    report = run_crosscheck(max_dim=20, max_n=10, jobs=1)
     assert report.ok, report.mismatches + report.parity_violations
-    assert (report.symplectic_checked, report.linear_checked) == (574, 137)
+    assert (report.symplectic_checked, report.linear_checked) == (925, 137)
 
 
 @given(large_symplectic_classes())
@@ -118,6 +119,28 @@ def test_report_json_shape():
     assert data["ok"] is True
     assert data["mismatches"] == []
     assert data["symplectic_checked"] >= 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_report_times_every_stage(jobs):
+    report = run_crosscheck(max_dim=8, max_n=4, jobs=jobs)
+    assert report.ok
+    times = report.to_json()["stage_seconds"]
+    assert list(times) == list(crosscheck.STAGES)
+    assert all(t > 0 for t in times.values()), times
+    if jobs == 1:
+        assert sum(times.values()) <= report.elapsed
+    assert "; stages build " in report.summary() and "\n" not in report.summary()
+
+
+def test_single_instance_adds_to_given_stage_times():
+    times = {}
+    first = check_symplectic_instance("2_0^2,8_1", times)
+    assert first == check_symplectic_instance("2_0^2,8_1")
+    assert set(times) == set(crosscheck.STAGES)
+    before = dict(times)
+    check_linear_instance("1,2", times)
+    assert all(times[stage] > before[stage] for stage in crosscheck.STAGES)
 
 
 def test_mismatch_and_parity_lines_end_with_a_reproduction_command(monkeypatch):

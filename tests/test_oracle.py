@@ -1,6 +1,7 @@
 """Tests for the GF(2) matrix layer and its agreement with the combinatorics."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from sp2forms.oracle import (
     wedge_matrix,
     wedge_space,
     _block_diag,
+    _power_chain,
 )
 
 J = JordanType.parse
@@ -40,6 +42,59 @@ def direct_sum(a: BilinearSpace, b: BilinearSpace) -> BilinearSpace:
 def _random_matrix(rng, n, ncols=None):
     ncols = n if ncols is None else ncols
     return Gf2Matrix(n, ncols, (rng.getrandbits(ncols) for _ in range(n)))
+
+
+def _random_invertible(rng, n):
+    while True:
+        p = _random_matrix(rng, n)
+        if p.rank() == n:
+            return p
+
+
+def _random_jordan_type(rng, n):
+    sizes = []
+    while n:
+        sizes.append(rng.randint(1, min(n, 12)))
+        n -= sizes[-1]
+    return JordanType.from_dict(Counter(sizes))
+
+
+def _conjugate(a: BilinearSpace, p: Gf2Matrix) -> BilinearSpace:
+    """The same space on the basis change p: P u P^-1 with the form P^-T G P^-1."""
+    pinv = p.inverse()
+    return BilinearSpace(p.mul(a.u).mul(pinv), pinv.transpose().mul(a.gram).mul(pinv))
+
+
+def _reference_subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
+    """(perp of v) / (span of v) through the inclusion of the perp basis.
+
+    The perp basis is k_i = e_i + f_i e_q as in :func:`subquotient`; the
+    operator's column i is the coordinate vector of u k_i, and the Gram
+    matrix is inclusion . G . inclusion^T, with the k_i as the rows of the
+    inclusion.
+    """
+    f = a.gram.matvec(v)
+    fq = f & -f
+    rest = v & ~fq
+    p = (rest & -rest).bit_length() - 1
+    dropped = sorted({p, fq.bit_length() - 1} - {-1}, reverse=True)
+
+    def coords(x):
+        if (x >> p) & 1:
+            x ^= v
+        for b in dropped:
+            x = (x & ((1 << b) - 1)) | (x >> (b + 1) << b)
+        return x
+
+    basis = [(1 << i) | (fq if (f >> i) & 1 else 0) for i in range(a.dim) if i not in dropped]
+    k = len(basis)
+    u = Gf2Matrix.from_columns(k, [coords(a.u.matvec(b)) for b in basis])
+    inclusion = Gf2Matrix(k, a.dim, basis)
+    return BilinearSpace(u, inclusion.mul(a.gram).mul(inclusion.transpose()))
+
+
+def _same_span(xs, ys, n):
+    return len(xs) == len(ys) == Gf2Matrix(len(xs) + len(ys), n, xs + ys).rank()
 
 
 # Entry-by-entry definitions of the wedge square, kept as the reference for
@@ -230,6 +285,40 @@ class TestBilinearSpaceChecks:
             BilinearSpace(Gf2Matrix.from_lists(u), Gf2Matrix.from_lists(gram))
 
 
+class TestInvarianceCheck:
+    """Every Gram bit matters: the check compares all of u^T G u with G."""
+
+    @staticmethod
+    def _spaces():
+        rng = random.Random(41)
+        spaces = [space_from_type(S(t)) for t in ("4_1^2", "2_0^2,8_1", "1_0^4,2_1^3,6_1,10_0^2", "20_1^2")]
+        spaces += [wedge_space(space_from_type(S(t))).space for t in ("2_1^3", "1_0^2,4_1", "2_0^2,4_1", "2_1^4")]
+        spaces += [dual_tensor_space(unipotent_from_jordan(J(t))).space for t in ("1,2", "4", "1,2^2", "1,2,3")]
+        # dense copies, so that no pair of coordinates escapes the check by block structure
+        spaces += [_conjugate(a, _random_invertible(rng, a.dim)) for a in spaces[::2]]
+        return spaces
+
+    def test_flipped_pairs_are_rejected(self):
+        rng = random.Random(43)
+        rejected = 0
+        for a in self._spaces():
+            assert 8 <= a.dim <= 40
+            ut = a.u.transpose()
+            for _ in range(12):
+                i, j = sorted(rng.sample(range(1, a.dim), 2))
+                g = list(a.gram.rows)
+                g[i] ^= 1 << j
+                g[j] ^= 1 << i
+                gram = Gf2Matrix(a.dim, a.dim, g)
+                if ut.mul(gram).mul(a.u) == gram:  # a flip the operator happens to preserve
+                    BilinearSpace(a.u, gram)
+                    continue
+                with pytest.raises(ValueError, match="invariant"):
+                    BilinearSpace(a.u, gram)
+                rejected += 1
+        assert rejected >= 150
+
+
 class TestBuilders:
     @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
     def test_build_v(self, d):
@@ -391,7 +480,44 @@ class TestWedgeSpace:
                     assert got == want
 
 
+class TestPowerChain:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_matrix_powers_on_conjugated_inputs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(20, 40)
+        j = _random_jordan_type(rng, n)
+        p = _random_invertible(rng, n)
+        u = p.mul(unipotent_from_jordan(j)).mul(p.inverse())
+        powers, ranks, kernels = _power_chain(u)
+        x = u.add(Gf2Matrix.identity(n))
+        assert ranks[-1] == 0 and len(powers) == len(ranks) == len(kernels) == max(j.sizes()) + 1
+        for k, (cols, rank, kernel) in enumerate(zip(powers, ranks, kernels)):
+            xk = matrix_power(x, k)
+            assert tuple(cols) == xk.cols
+            assert rank == xk.rank()
+            assert _same_span(kernel, xk.kernel_basis(), n)
+        assert jordan_type_of(u) == j
+
+
 class TestSubquotient:
+    @staticmethod
+    def _pointed_spaces():
+        rng = random.Random(17)
+        pointed = [wedge_space(space_from_type(s)) for dim in range(4, 11, 2) for s in symplectic_types(dim)]
+        pointed += [dual_tensor_space(unipotent_from_jordan(j)) for n in range(2, 7) for j in jordan_types(n)]
+        for a, v in pointed[::5]:
+            p = _random_invertible(rng, a.dim)
+            pointed.append((_conjugate(a, p), p.matvec(v)))
+        return pointed
+
+    def test_matches_inclusion_reference(self):
+        radical = 0
+        for a, v in self._pointed_spaces():
+            radical += a.gram.matvec(v) == 0
+            assert subquotient(a, v) == _reference_subquotient(a, v), a.ascii_grids()
+        # odd n puts the dual tensor's fixed vector in the radical (f = 0)
+        assert radical >= 10
+
     def test_validation(self):
         a = build_v(4)
         with pytest.raises(ValueError):
