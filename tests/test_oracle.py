@@ -286,7 +286,11 @@ class TestBilinearSpaceChecks:
 
 
 class TestInvarianceCheck:
-    """Every Gram bit matters: the check compares all of u^T G u with G."""
+    """A flipped Gram pair is rejected exactly when u stops preserving the form.
+
+    The check must compare all of u^T G u with G, not just its diagonal
+    (always zero for an alternating form) or its first column.
+    """
 
     @staticmethod
     def _spaces():
@@ -305,6 +309,7 @@ class TestInvarianceCheck:
             assert 8 <= a.dim <= 40
             ut = a.u.transpose()
             for _ in range(12):
+                # pairs avoid coordinate 0, whose flips a first-column check alone would see
                 i, j = sorted(rng.sample(range(1, a.dim), 2))
                 g = list(a.gram.rows)
                 g[i] ^= 1 << j
