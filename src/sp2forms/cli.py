@@ -28,9 +28,10 @@ from .jordan import JordanType, ParseError, consecutive_ones, tensor, wedge_squa
 from .reps import dual_tensor_classes, wedge_square_classes
 
 # Caps on the distinguished sweep bounds, which drive time and memory.  At the
-# caps, on a 2-CPU host, the wedge sweep takes 3.3 s, each dual-tensor sweep
-# 1.5 s, and the pair sweep 3.3 s and 62 MB; the pair sweep grows with its hit
-# count, to 16 s and 207 MB at --max-dim 500.
+# caps, on a 2-CPU host, the wedge sweep takes 0.2 s, each dual-tensor sweep
+# 0.04 s (most of both is the closed class count), and the pair sweep 3.3 s
+# and 62 MB; the pair sweep grows with its hit count, to 16 s and 207 MB at
+# --max-dim 500.
 MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 

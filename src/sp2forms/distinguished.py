@@ -6,10 +6,11 @@ multiplicity at most two, and every tag set.  The sweeps below cover all
 classes up to a bound and confirm that the images under the dual-tensor,
 bilinear-tensor and wedge-square constructions are distinguished precisely
 for the expected short lists of inputs.  They do so with pruned searches
-(:func:`_search` over partitions, :func:`_distinct_v_sums` for the pair
-sweep): a class is only handed to the rules engine while its image can still
-be distinguished.  What a sweep covers, every class or pair in range, is
-counted in closed form by :func:`enumeration.class_counts`.
+(:func:`_search`, one search over the partitions of every dimension up to
+the bound, and :func:`_distinct_v_sums` for the pair sweep): a class is
+only handed to the rules engine while its image can still be distinguished.
+What a sweep covers, every class or pair in range, is counted in closed
+form by :func:`enumeration.class_counts`.
 """
 
 from __future__ import annotations
@@ -125,19 +126,18 @@ def _within_subquotient_reach(square: Square) -> bool:
 
 
 def _search(
-    dim: int,
+    max_dim: int,
     grow: Callable[[Square, list[tuple[int, int]], int, int], None],
     symplectic: bool = False,
-) -> list[tuple[Partition, Square]]:
-    """Depth-first search over the partitions of dim, pruned by a monotone rule.
+) -> list[list[tuple[Partition, Square]]]:
+    """Depth-first search over the partitions of every dimension 0..max_dim, pruned by a monotone rule.
 
     A node is a prefix P: the parts of size at least d, as (size,
-    multiplicity) pairs, largest first.  Its children append m blocks of a
-    smaller size, sizes from high to low and each multiplicity from high to
-    low, so the leaves come in the reverse-lexicographic table order of
-    :func:`enumeration.partitions`.  With ``symplectic`` an odd size only
-    takes even multiplicities, which gives the order of
-    :func:`enumeration.symplectic_partitions`.
+    multiplicity) pairs, largest first.  A node of sum s is itself a
+    partition of s, recorded as a leaf of dimension s before its children.
+    Its children append m blocks of a smaller size, with sum at most
+    max_dim, sizes from high to low and each multiplicity from high to low.
+    With ``symplectic`` an odd size only takes even multiplicities.
 
     ``grow(square, P, d, m)`` is a square-growth step of
     :mod:`sp2forms.jordan`, applied to a copy of the parent's square.  A
@@ -155,15 +155,32 @@ def _search(
     leaf below a node where it fails.  Likewise, once m blocks of size d
     fail, so do m + 1, and the larger multiplicities are never grown.
 
-    Returns the surviving partitions (ascending multiplicity form, in table
-    order), each with its square.
+    Why the leaves of dimension n are those of a search over n alone.  A
+    partition of n has one path from the root, adding its (size,
+    multiplicity) pairs largest size first, and each node on it has sum at
+    most n.  It survives exactly when its own square passes: the square of
+    each node on the path, and of each smaller multiplicity tried before
+    it, lies inside its square by the identities above, and a square that
+    passes has only sub-multisets that pass.  So a partition of n is a leaf
+    exactly when its square passes, whatever max_dim is.
+
+    Why each dimension comes in table order.  Two partitions of one n are
+    never prefixes of each other, so the leaves of dimension n are met in
+    the order of their first differing (size, multiplicity) choice: the
+    larger size first and, at one size, the larger multiplicity first.
+    That is the reverse-lexicographic order of
+    :func:`enumeration.partitions`, or with ``symplectic`` of
+    :func:`enumeration.symplectic_partitions`.
+
+    Returns, indexed by dimension 0..max_dim (only 0 when max_dim < 1),
+    the surviving partitions (ascending multiplicity form, in table order),
+    each with its square.
     """
-    leaves: list[tuple[Partition, Square]] = []
+    top = max(max_dim, 0)
+    leaves: list[list[tuple[Partition, Square]]] = [[] for _ in range(top + 1)]
 
     def visit(prefix: list[tuple[int, int]], square: Square, rest: int) -> None:
-        if rest == 0:
-            leaves.append((tuple(reversed(prefix)), square))
-            return
+        leaves[top - rest].append((tuple(reversed(prefix)), square))
         below = prefix[-1][0] if prefix else rest + 1
         for d in range(min(below - 1, rest), 0, -1):
             kept: list[Square] = []  # kept[m - 1] is the square with m blocks of size d
@@ -177,7 +194,7 @@ def _search(
                 if not (symplectic and d % 2 and m % 2):
                     visit(prefix + [(d, m)], kept[m - 1], rest - m * d)
 
-    visit([], {}, dim)
+    visit([], {}, top)
     return leaves
 
 
@@ -189,14 +206,15 @@ def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanTy
 
     ``part`` names the output class tested: ``tensor_space`` or
     ``irreducible``.  Both are covered by :func:`_within_subquotient_reach`
-    on the tensor square.
+    on the tensor square.  One :func:`_search` to max_n gives the
+    survivors of every dimension, each dimension in table order.
     """
     report = SweepReport(name=name)
     start = time.perf_counter()
     report.checked = sum(class_counts(max_n)[2:])
     seen = set()
-    for n in range(2, max_n + 1):
-        for p, _ in _search(n, grow_tensor_square):
+    for leaves in _search(max_n, grow_tensor_square)[2:]:
+        for p, _ in leaves:
             j = JordanType(p)
             report.evaluated += 1
             got = is_distinguished(getattr(dual_tensor_classes(j), part))
@@ -300,14 +318,16 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
 def verify_prop_C(max_n: int) -> SweepReport:
     """Wedge squares are distinguished only for V(4); subquotients for the {2,3,5}/{2,6} lists.
 
-    Covers every symplectic class of dimension 4..2*max_n with
-    :func:`_search` on the wedge square; every tag choice over a surviving
-    partition is evaluated.  The expected classes must show up as hits, so a
-    bug in the search would surface as a counterexample.
+    Covers every symplectic class of dimension 4..2*max_n with one
+    :func:`_search` to 2*max_n on the wedge square, read one dimension at a
+    time; every tag choice over a surviving partition is evaluated.  The
+    expected classes must show up as hits, so a bug in the search would
+    surface as a counterexample.
     """
     report = SweepReport(name="wedge-distinguished")
     start = time.perf_counter()
     report.checked = sum(class_counts(2 * max_n, True)[4::2])
+    leaves = _search(2 * max_n, grow_wedge_square, True)
     for n in range(2, max_n + 1):
         expected_wedge = [vtype(4)] if n == 2 else []
         expected_irr = []
@@ -316,7 +336,7 @@ def verify_prop_C(max_n: int) -> SweepReport:
         if n in (2, 6):
             expected_irr.append(orthogonal_sum(vtype(2), vtype(2 * n - 2)))
         seen = set()
-        for p, _ in _search(2 * n, grow_wedge_square, True):
+        for p, _ in leaves[2 * n]:
             for s in epsilon_variants(p):
                 report.evaluated += 1
                 out = wedge_square_classes(s)

@@ -119,7 +119,7 @@ def _skip_ws(text: str, pos: int) -> int:
 def _scan_int(text: str, pos: int, what: str) -> tuple[int, int]:
     pos = _skip_ws(text, pos)
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":  # not isdigit(), which takes '²' and '٣'
         pos += 1
     if pos == start:
         raise ParseError(text, start, f"expected {what}")

@@ -130,6 +130,16 @@ class TestSweeps:
         report = verify_prop_C(600)
         assert report.ok and report.checked == sum(class_counts(1200, True)[4::2])
 
+    def test_sweeps_to_the_cap(self):
+        # one search per sweep reaches the command-line cap of 1000 within tier-1
+        reports = [verify_prop_A_tensor(1000), verify_prop_A_irr(1000), verify_prop_C(1000)]
+        assert all(r.ok for r in reports)
+        assert reports[0].hits == ["2"]
+        assert reports[1].hits == ["2", "3", "5"]
+        assert reports[2].hits == ["wedge 4_1", "irr 4_1", "irr 2_1^2", "irr 6_1", "irr 10_1", "irr 2_1,10_1"]
+        assert reports[0].checked == reports[1].checked == sum(class_counts(1000)[2:])
+        assert reports[2].checked == sum(class_counts(2000, True)[4::2])
+
     def test_sweeps_to_100(self):
         # the paper's lists hold far beyond the acceptance bounds
         reports = [verify_prop_A_tensor(100), verify_prop_A_irr(100), verify_prop_C(100)]
@@ -343,20 +353,44 @@ class TestSearch:
                             assert not _within_subquotient_reach(full.to_dict()), (prefix, j)
 
     def test_leaf_squares_match_the_engine(self, monkeypatch):
-        # with nothing pruned, the search yields every partition in table order with its square
+        # with nothing pruned, one search yields every partition of each dimension in table order with its square
         monkeypatch.setattr(distinguished, "_within_subquotient_reach", lambda square: True)
-        for n in range(1, 13):
-            leaves = _search(n, grow_tensor_square)
-            assert [p for p, _ in leaves] == list(partitions(n))
-            assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in leaves)
+        plain = _search(12, grow_tensor_square)
+        wedge = _search(12, grow_wedge_square, symplectic=True)
+        products = [
+            (j1, _search(12, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), symplectic=True))
+            for j1 in jordan_types(4)
+        ]
+        assert len(plain) == len(wedge) == 13
+        for n in range(13):
+            assert [p for p, _ in plain[n]] == list(partitions(n))
+            assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in plain[n])
 
-            leaves = _search(n, grow_wedge_square, symplectic=True)
-            assert [p for p, _ in leaves] == list(symplectic_partitions(n))
-            assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in leaves)
+            assert [p for p, _ in wedge[n]] == list(symplectic_partitions(n))
+            assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in wedge[n])
 
-            for j1 in jordan_types(4):
-                leaves = _search(n, lambda sq, _, d, m: grow_product(sq, j1.blocks, d, m), symplectic=True)
-                assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves)
+            for j1, leaves in products:
+                assert [p for p, _ in leaves[n]] == list(symplectic_partitions(n))
+                assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves[n])
+
+    @staticmethod
+    def _passing(max_dim, generate, square):
+        """Exhaustive reference: for each dimension 0..max_dim, the partitions whose square passes, in table order."""
+        return [
+            [(p, sq) for p in generate(n) for sq in [square(JordanType(p)).to_dict()] if _within_subquotient_reach(sq)]
+            for n in range(max(max_dim, 0) + 1)
+        ]
+
+    @pytest.mark.parametrize("max_dim", [-4, 0, 1, 2, 7, 30])
+    def test_tensor_search_against_exhaustive(self, max_dim):
+        # one search to max_dim keeps, in every dimension, exactly the partitions whose own square passes
+        want = self._passing(max_dim, partitions, lambda j: tensor(j, j))
+        assert _search(max_dim, grow_tensor_square) == want
+
+    @pytest.mark.parametrize("max_dim", [-4, 0, 1, 4, 9, 40])
+    def test_wedge_search_against_exhaustive(self, max_dim):
+        want = self._passing(max_dim, symplectic_partitions, wedge_square)
+        assert _search(max_dim, grow_wedge_square, symplectic=True) == want
 
     def test_product_class_has_the_product_jordan_type(self):
         # forgetting the tags of tensor_bilinear gives the Jordan-level product tensor(j1, j2)

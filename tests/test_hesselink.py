@@ -75,6 +75,9 @@ class TestTypes:
             ("0,2_1", 1),
             ("a", 0),
             ("2_1 x", 4),
+            ("2_¹", 2),
+            ("2_1^²", 4),
+            ("٢_1", 0),
         ]:
             with pytest.raises(ParseError) as info:
                 E(bad)

@@ -69,11 +69,14 @@ class TestJordanType:
         assert J("(1^2, 2)") == J("1^2,2")
 
     def test_parse_errors_carry_position(self):
-        for bad, pos in [("3^^2", 2), ("3,3", 2), ("0,1", 1), ("2,", 2), ("a", 0)]:
+        for bad, pos in [("3^^2", 2), ("3,3", 2), ("0,1", 1), ("2,", 2), ("a", 0), ("٣", 0)]:
             with pytest.raises(ParseError) as exc:
                 J(bad)
             assert exc.value.pos == pos
             assert "^" in exc.value.caret_message()
+        # only ASCII digits: a superscript or another script's digit is a parse error, not int()'s
+        with pytest.raises(ParseError, match="expected multiplicity at position 2"):
+            J("3^²")
 
     def test_json_roundtrip(self):
         j = J("3^2,5")
