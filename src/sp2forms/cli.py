@@ -5,6 +5,12 @@ consec-ones), the two classification engines (thmA, thmC), table
 regeneration with golden-file comparison, the matrix cross-check sweep, and
 the distinguished-class verification sweeps.
 
+Every command is declared once, in ``COMMANDS``: its help line, its handler
+and the function that adds its arguments.  ``main`` builds the parser of the
+invoked command alone, which is all a run needs; the full tree of
+subparsers (``build_parser``) is built from the same table only for the
+command listing, top-level options and errors outside any command.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 """
 
@@ -42,6 +48,13 @@ MAX_DIM_CAP = 400
 # about 19 MB.
 ORACLE_MAX_DIM_CAP = 24
 ORACLE_MAX_N_CAP = 16
+
+# Caps on the HI of a table range, which drives time and memory: every row is
+# built in a list before printing.  At the caps, on a 2-CPU host, table A
+# 2..32 takes 3.3 s for 43,787 rows in 27 MB, and table C 2..20 0.8 s for 937
+# rows (4.3 s for 47,047 rows in 28 MB with --all).  Rows grow with the
+# partition counts: table A 2..60 would hold 6.6 million.
+TABLE_CAPS = {"A": 32, "C": 20}
 
 
 def _parse_or_exit(parser_fn, text: str, what: str):
@@ -116,11 +129,31 @@ def _cmd_thm_c(args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits only, like the type scanner.
+
+    Bare int() also takes '+', surrounding spaces, '_' between digits and
+    any Unicode digit, such as '٣'; all of those raise ValueError here.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or digits.strip("0123456789"):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
+def _int_arg(text: str) -> int:
+    """An argparse type for an integer in ASCII digits; its error reads as type=int's (exit 2)."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _bounded(cap: int):
     """An argparse type for an integer in 0..cap; other values are usage errors (exit 2)."""
 
     def integer(text: str) -> int:
-        n = int(text)
+        n = _ascii_int(text)
         if not 0 <= n <= cap:
             raise argparse.ArgumentTypeError(f"{n} is outside 0..{cap}")
         return n
@@ -132,11 +165,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     """N or LO..HI as (lo, hi); ValueError if not integers or if LO > HI."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = _ascii_int(lo), _ascii_int(hi)
         if lo > hi:
             raise ValueError(f"reversed range {text!r}")
         return lo, hi
-    n = int(text)
+    n = _ascii_int(text)
     return n, n
 
 
@@ -171,6 +204,10 @@ def _cmd_table(args) -> int:
         lo, hi = _parse_range(args.range)
     except ValueError:
         print(f"error: bad range {args.range!r}, expected N or LO..HI", file=sys.stderr)
+        return 2
+    cap = TABLE_CAPS[args.which]
+    if hi > cap:
+        print(f"error: range {args.range!r} is past the cap of table {args.which}: HI at most {cap}", file=sys.stderr)
         return 2
     if args.which == "A":
         rows = table_a_rows(lo, hi)
@@ -230,78 +267,95 @@ def _cmd_distinguished(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _pair(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("left")
+    parser.add_argument("right")
+
+
+def _table_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("which", choices=("A", "C"))
+    parser.add_argument("range", help=f"N or LO..HI (dimension for A, at most {TABLE_CAPS['A']}; "
+                        f"half-dimension for C, at most {TABLE_CAPS['C']})")
+    parser.add_argument("--golden", metavar="FILE", help="compare against stored rows; exit 1 on mismatch")
+    parser.add_argument("--all", action="store_true", help="table C: include classes of 2-adic content zero")
+
+
+def _oracle_check_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-dim", type=_bounded(ORACLE_MAX_DIM_CAP), default=8,
+                        help=f"largest symplectic dimension to sweep, 0..{ORACLE_MAX_DIM_CAP}")
+    parser.add_argument("--max-n", type=_bounded(ORACLE_MAX_N_CAP), default=6,
+                        help=f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}")
+    parser.add_argument("--jobs", type=_int_arg, default=None, help="worker processes (default $SP2FORMS_JOBS or 1)")
+    parser.add_argument("--dump-matrices", action="store_true", help="print small constructed matrices as 0/1 grids")
+
+
+def _distinguished_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-n", type=_bounded(MAX_N_CAP), default=12,
+                        help=f"dimension bound for the single-space sweeps, 0..{MAX_N_CAP}")
+    parser.add_argument("--max-dim", type=_bounded(MAX_DIM_CAP), default=24,
+                        help=f"product dimension bound for the pair sweep, 0..{MAX_DIM_CAP}")
+
+
+# Each command: (help line, handler, function that adds its own arguments).
+# --json and the handler default are added to every command by _add_command.
+COMMANDS = {
+    "tensor": ("Jordan type of a tensor product.", _cmd_tensor, _pair),
+    "wedge": ("Jordan type of an exterior square.", _cmd_wedge, lambda p: p.add_argument("type")),
+    "tensor-bilinear": ("Class of a tensor product of symplectic classes.", _cmd_tensor_bilinear, _pair),
+    "consec-ones": ("Minimal alternating expansion into powers of two.", _cmd_consec_ones,
+                    lambda p: p.add_argument("n", type=_int_arg)),
+    "thmA": ("Classes on the dual tensor square and its subquotient.", _cmd_thm_a,
+             lambda p: p.add_argument("type", help="Jordan type of the element, e.g. '5' or '1,2^2'")),
+    "thmC": ("Classes on the wedge square and its subquotient.", _cmd_thm_c,
+             lambda p: p.add_argument("type", help="symplectic class, e.g. '4_1' or '2_0^2,8_1'")),
+    "table": ("Regenerate a classification table.", _cmd_table, _table_arguments),
+    "oracle-check": ("Matrix cross-check of the combinatorial rules.", _cmd_oracle_check, _oracle_check_arguments),
+    "distinguished": ("Verify the distinguished-class sweeps.", _cmd_distinguished, _distinguished_arguments),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the arguments of command name, then --json and the handler as fn."""
+    _, handler, add_arguments = COMMANDS[name]
+    add_arguments(parser)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(fn=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level options and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="sp2forms",
         description="Jordan types and symplectic class data of unipotent elements in characteristic two.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tensor", help="Jordan type of a tensor product.")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_tensor)
-
-    p = sub.add_parser("wedge", help="Jordan type of an exterior square.")
-    p.add_argument("type")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_wedge)
-
-    p = sub.add_parser("tensor-bilinear", help="Class of a tensor product of symplectic classes.")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_tensor_bilinear)
-
-    p = sub.add_parser("consec-ones", help="Minimal alternating expansion into powers of two.")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_consec_ones)
-
-    p = sub.add_parser("thmA", help="Classes on the dual tensor square and its subquotient.")
-    p.add_argument("type", help="Jordan type of the element, e.g. '5' or '1,2^2'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_thm_a)
-
-    p = sub.add_parser("thmC", help="Classes on the wedge square and its subquotient.")
-    p.add_argument("type", help="symplectic class, e.g. '4_1' or '2_0^2,8_1'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_thm_c)
-
-    p = sub.add_parser("table", help="Regenerate a classification table.")
-    p.add_argument("which", choices=("A", "C"))
-    p.add_argument("range", help="N or LO..HI (dimension for A, half-dimension for C)")
-    p.add_argument("--golden", metavar="FILE", help="compare against stored rows; exit 1 on mismatch")
-    p.add_argument("--all", action="store_true", help="table C: include classes of 2-adic content zero")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_table)
-
-    p = sub.add_parser("oracle-check", help="Matrix cross-check of the combinatorial rules.")
-    p.add_argument("--max-dim", type=_bounded(ORACLE_MAX_DIM_CAP), default=8,
-                   help=f"largest symplectic dimension to sweep, 0..{ORACLE_MAX_DIM_CAP}")
-    p.add_argument("--max-n", type=_bounded(ORACLE_MAX_N_CAP), default=6,
-                   help=f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default $SP2FORMS_JOBS or 1)")
-    p.add_argument("--dump-matrices", action="store_true", help="print small constructed matrices as 0/1 grids")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_oracle_check)
-
-    p = sub.add_parser("distinguished", help="Verify the distinguished-class sweeps.")
-    p.add_argument("--max-n", type=_bounded(MAX_N_CAP), default=12,
-                   help=f"dimension bound for the single-space sweeps, 0..{MAX_N_CAP}")
-    p.add_argument("--max-dim", type=_bounded(MAX_DIM_CAP), default=24,
-                   help=f"product dimension bound for the pair sweep, 0..{MAX_DIM_CAP}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_distinguished)
-
+    for name, (help_line, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone: the tree's subparser for it (same prog, arguments and order)."""
+    return _add_command(argparse.ArgumentParser(prog=f"sp2forms {name}"), name)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv and run its command.
+
+    When argv starts with a command name, only that command's parser is
+    built, so its help, usage and errors are the tree's.  Everything else
+    builds the full tree: no command, an option before it, an unknown name,
+    and arguments the command leaves over, which only the tree reports
+    (with its own usage line).
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args.fn(args)
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

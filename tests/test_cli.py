@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from sp2forms import cli
+from sp2forms import __version__, cli
 from sp2forms.cli import main
 from sp2forms.hesselink import EpsilonTaggedType
 from sp2forms.jordan import JordanType
@@ -72,7 +73,8 @@ class TestTable:
         assert code == 0
         assert out.strip() == "(2) | (2_1^2) | (2_1)"
 
-    @pytest.mark.parametrize("text", ["x..y", "3..2"])
+    # integers are ASCII digits only, as in the type scanner
+    @pytest.mark.parametrize("text", ["x..y", "3..2", "٣", "+3", "2..٣", "2.. 3", " 2..3", "2..+3"])
     def test_bad_range(self, capsys, text):
         code, _, err = run(capsys, "table", "A", text)
         assert code == 2
@@ -188,3 +190,152 @@ class TestSweepCommands:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _tree_subparser(name):
+    tree = cli.build_parser()
+    subparsers = next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[name]
+
+
+def _outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which is expected to exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParserSplit:
+    """main builds only the invoked command's parser; it must act as the tree's subparser."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_matches_tree(self, name):
+        assert cli.command_parser(name).format_help() == _tree_subparser(name).format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tensor", "3", "5"],
+            ["tensor", "--json", "3", "5"],
+            ["wedge", "2^2,8", "--json"],
+            ["tensor-bilinear", "2_1", "4_1"],
+            ["consec-ones", "-3"],
+            ["thmA", "5"],
+            ["thmC", "2_0^2,8_1", "--json"],
+            ["table", "C", "2..8", "--all", "--golden", "x.txt"],
+            ["oracle-check"],
+            ["oracle-check", "--max-dim", "24", "--max-n", "0", "--jobs", "2", "--dump-matrices"],
+            ["distinguished", "--max-n", "1000", "--max-dim", "400", "--json"],
+            ["distinguished", "--max-n", "3", "--max-n", "4"],
+        ],
+    )
+    def test_same_namespace(self, argv):
+        tree = vars(cli.build_parser().parse_args(argv))
+        assert tree.pop("command") == argv[0]
+        assert vars(cli.command_parser(argv[0]).parse_args(argv[1:])) == tree
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distinguished", "--max-n", "1001"],
+            ["oracle-check", "--max-dim", "25"],
+            ["consec-ones", "x"],
+            ["table", "B", "2"],
+            ["table"],
+            ["tensor", "3", "5", "6"],  # left over: the tree reports it with its own usage line
+            ["thmA", "-h"],
+        ],
+    )
+    def test_same_error_or_help_on_both_paths(self, capsys, argv):
+        single = _outcome(capsys, main, argv)
+        tree = _outcome(capsys, cli.build_parser().parse_args, argv)
+        assert single == tree
+        assert single[0] == (0 if "-h" in argv else 2)
+
+    def test_named_commands_do_not_build_the_tree(self, capsys, monkeypatch):
+        def tree():
+            raise AssertionError("the full parser tree was built")
+
+        monkeypatch.setattr(cli, "build_parser", tree)
+        runs = (
+            ["tensor", "3", "5"],
+            ["wedge", "2"],
+            ["tensor-bilinear", "2_1", "4_1"],
+            ["consec-ones", "6"],
+            ["thmA", "5"],
+            ["thmC", "4_1"],
+            ["table", "A", "2..2"],
+            ["oracle-check", "--max-dim", "4", "--max-n", "2"],
+            ["distinguished", "--max-n", "4", "--max-dim", "8"],
+        )
+        assert [argv[0] for argv in runs] == list(cli.COMMANDS)
+        for argv in runs:
+            assert main(argv) == 0, argv
+
+    def test_no_command(self, capsys):
+        code, out, err = _outcome(capsys, main, [])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sp2forms [-h] [--version]")
+        assert err.endswith("sp2forms: error: the following arguments are required: command\n")
+
+    def test_version(self, capsys):
+        assert _outcome(capsys, main, ["--version"]) == (0, f"sp2forms {__version__}\n", "")
+
+    def test_unknown_command_lists_the_commands(self, capsys):
+        code, out, err = _outcome(capsys, main, ["frobnicate"])
+        assert (code, out) == (2, "")
+        choices = ", ".join(f"'{name}'" for name in cli.COMMANDS)
+        assert err.endswith(f"argument command: invalid choice: 'frobnicate' (choose from {choices})\n")
+
+
+class TestAsciiIntegers:
+    """Integers on the command line are ASCII digits with an optional '-', as in the type scanner."""
+
+    @pytest.mark.parametrize("text", ["٣", "+3", " 3", "3 ", "1_0", "３", ""])
+    def test_consec_ones_rejects(self, capsys, text):
+        code, _, err = _outcome(capsys, main, ["consec-ones", text])
+        assert code == 2
+        assert f"argument n: invalid int value: {text!r}" in err
+
+    @pytest.mark.parametrize("text", ["٣", "+3", " 3"])
+    def test_bounds_and_jobs_reject(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(cli, "run_crosscheck", lambda **kwargs: pytest.fail("the sweep started"))
+        for argv, what in (
+            (["distinguished", "--max-n", text], "--max-n: invalid integer value"),
+            (["oracle-check", "--max-dim", text], "--max-dim: invalid integer value"),
+            (["oracle-check", "--jobs", text], "--jobs: invalid int value"),
+        ):
+            code, _, err = _outcome(capsys, main, argv)
+            assert code == 2 and f"argument {what}: {text!r}" in err
+
+    def test_negative_and_leading_zeros_still_parse(self, capsys):
+        assert run(capsys, "consec-ones", "-3")[0] == 2  # n must be positive, as before
+        assert run(capsys, "consec-ones", "06")[1].strip() == "2^3 - 2^1"
+        assert run(capsys, "table", "A", "02..2")[1].strip() == "(2) | (2_1^2) | (2_1)"
+
+
+class TestTableCaps:
+    @pytest.mark.parametrize("which,cap", [("A", 32), ("C", 20)])
+    def test_past_the_cap_is_a_usage_error(self, capsys, monkeypatch, which, cap):
+        # rejected before any row is built
+        for name in ("table_a_rows", "table_c_rows"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("rows were built"))
+        for text in (str(cap + 1), f"2..{cap + 1}", "2..60"):
+            code, out, err = run(capsys, "table", which, text)
+            assert (code, out) == (2, "")
+            assert f"past the cap of table {which}: HI at most {cap}" in err
+
+    @pytest.mark.parametrize("which,cap", [("A", 32), ("C", 20)])
+    def test_the_cap_itself_is_accepted(self, capsys, monkeypatch, which, cap):
+        calls = []
+        name = "table_a_rows" if which == "A" else "table_c_rows"
+        monkeypatch.setattr(cli, name, lambda lo, hi, **kwargs: calls.append((lo, hi)) or [])
+        assert run(capsys, "table", which, f"{cap}..{cap}")[0] == 0
+        assert calls == [(cap, cap)]
+
+    def test_help_states_the_caps(self, capsys):
+        code, out, _ = _outcome(capsys, main, ["table", "--help"])
+        assert code == 0
+        out = " ".join(out.split())
+        assert "dimension for A, at most 32; half-dimension for C, at most 20" in out

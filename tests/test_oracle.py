@@ -493,14 +493,19 @@ class TestPowerChain:
         j = _random_jordan_type(rng, n)
         p = _random_invertible(rng, n)
         u = p.mul(unipotent_from_jordan(j)).mul(p.inverse())
-        powers, ranks, kernels = _power_chain(u)
+        ranks, layers = _power_chain(u)
         x = u.add(Gf2Matrix.identity(n))
-        assert ranks[-1] == 0 and len(powers) == len(ranks) == len(kernels) == max(j.sizes()) + 1
-        for k, (cols, rank, kernel) in enumerate(zip(powers, ranks, kernels)):
-            xk = matrix_power(x, k)
-            assert tuple(cols) == xk.cols
-            assert rank == xk.rank()
-            assert _same_span(kernel, xk.kernel_basis(), n)
+        assert ranks[-1] == 0 and len(ranks) == len(layers) == max(j.sizes()) + 1
+        kernel = []
+        for d, (rank, layer) in enumerate(zip(ranks, layers)):
+            xd = matrix_power(x, d)
+            assert rank == xd.rank()
+            if d:
+                xd1 = matrix_power(x, d - 1)
+                assert all(xd.matvec(v) == 0 and xd1.matvec(v) == y != 0 for v, y in layer)
+            # layers 1..d are a basis of Ker X^d
+            kernel += [v for v, _ in layer]
+            assert _same_span(kernel, xd.kernel_basis(), n)
         assert jordan_type_of(u) == j
 
 
