@@ -209,6 +209,15 @@ def _cmd_table(args) -> int:
     if hi > cap:
         print(f"error: range {args.range!r} is past the cap of table {args.which}: HI at most {cap}", file=sys.stderr)
         return 2
+    expected = None
+    if args.golden:  # read before any row is built, so a bad path fails fast
+        try:
+            with open(args.golden, "r", encoding="utf-8") as fh:
+                expected = [line.rstrip("\n") for line in fh if line.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: cannot read golden file {args.golden!r}: {reason}", file=sys.stderr)
+            return 2
     if args.which == "A":
         rows = table_a_rows(lo, hi)
     else:
@@ -218,9 +227,7 @@ def _cmd_table(args) -> int:
     else:
         for row in rows:
             print(row)
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as fh:
-            expected = [line.rstrip("\n") for line in fh if line.strip()]
+    if expected is not None:
         if rows != expected:
             for i, (got, want) in enumerate(zip(rows, expected)):
                 if got != want:

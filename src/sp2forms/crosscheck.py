@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 
 from . import oracle
 from .distinguished import repro
 from .enumeration import jordan_types, symplectic_types
 from .hesselink import EpsilonTaggedType, SymplecticType
-from .jordan import JordanType
+from .jordan import JordanType, Record
 from .reps import dual_tensor_classes, wedge_square_classes
 
 # Matrix stages timed per instance: the input space or operator, the wedge or
@@ -43,20 +42,22 @@ class _Stopwatch:
         self.last = now
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(Record):
     """Outcome of an equivalence sweep.
 
     stage_seconds totals each of ``STAGES`` over all instances; with worker
     processes it sums their times, so it can exceed the elapsed wall time.
     """
 
-    symplectic_checked: int = 0
-    linear_checked: int = 0
-    mismatches: list[str] = field(default_factory=list)
-    parity_violations: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
-    stage_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    def __init__(self, symplectic_checked: int = 0, linear_checked: int = 0, mismatches: list[str] | None = None,
+                 parity_violations: list[str] | None = None, elapsed: float = 0.0,
+                 stage_seconds: dict[str, float] | None = None):
+        self.symplectic_checked = symplectic_checked
+        self.linear_checked = linear_checked
+        self.mismatches = [] if mismatches is None else mismatches
+        self.parity_violations = [] if parity_violations is None else parity_violations
+        self.elapsed = elapsed
+        self.stage_seconds = dict.fromkeys(STAGES, 0.0) if stage_seconds is None else stage_seconds
 
     @property
     def ok(self) -> bool:

@@ -16,9 +16,8 @@ form by :func:`enumeration.class_counts`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from math import isqrt
-from typing import Callable
 
 from .enumeration import Partition, class_counts, epsilon_variants
 from .hesselink import (
@@ -30,7 +29,7 @@ from .hesselink import (
     validate_symplectic,
     vtype,
 )
-from .jordan import JordanType, grow_tensor_square, grow_wedge_square
+from .jordan import JordanType, Record, grow_tensor_square, grow_wedge_square
 from .reps import dual_tensor_classes, wedge_square_classes
 
 Square = dict[int, int]  # Jordan multiplicities of a tensor or wedge square
@@ -49,8 +48,7 @@ def is_distinguished(t: EpsilonTaggedType) -> bool:
     return all(d % 2 == 0 and m <= 2 and e == 1 for d, m, e in t.entries)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """Result of one verification sweep.
 
     ``checked`` is the number of classes (or pairs) in the sweep's range,
@@ -58,12 +56,14 @@ class SweepReport:
     computed, the ones the sweep's search could not rule out.
     """
 
-    name: str
-    checked: int = 0
-    evaluated: int = 0
-    hits: list[str] = field(default_factory=list)
-    counterexamples: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, name: str, checked: int = 0, evaluated: int = 0, hits: list[str] | None = None,
+                 counterexamples: list[str] | None = None, elapsed: float = 0.0):
+        self.name = name
+        self.checked = checked
+        self.evaluated = evaluated
+        self.hits = [] if hits is None else hits
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

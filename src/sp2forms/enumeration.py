@@ -9,8 +9,8 @@ tagged choice first.  Partitions are in multiplicity form, ascending
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .hesselink import SymplecticType, alpha_of
 from .jordan import JordanType

@@ -13,11 +13,11 @@ subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .jordan import (
     JordanType,
+    Value,
     _scan_terms,
     _tensor_blocks,
     gcd_valuation,
@@ -35,8 +35,7 @@ class SymplecticConstraintError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, eq=False)
-class EpsilonTaggedType:
+class EpsilonTaggedType(Value):
     """A Jordan type with an epsilon tag per block size.
 
     Entries are (size, multiplicity, eps) with strictly increasing sizes.
@@ -47,19 +46,10 @@ class EpsilonTaggedType:
     validated symplectic counterpart.
     """
 
-    entries: tuple[tuple[int, int, int], ...] = ()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpsilonTaggedType):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[int, int, int], ...] = ()):
+        object.__setattr__(self, "entries", entries)
         prev = 0
-        for d, m, e in self.entries:
+        for d, m, e in entries:
             if d <= prev:
                 raise ValueError(f"sizes must be positive and strictly increasing, got {d} after {prev}")
             if m < 1:
@@ -69,6 +59,14 @@ class EpsilonTaggedType:
             if e == 1 and d % 2:
                 raise ValueError(f"eps = 1 is impossible on odd size {d}")
             prev = d
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EpsilonTaggedType):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def jordan(self) -> JordanType:
         """Forget the tags."""
@@ -122,9 +120,9 @@ class SymplecticType(EpsilonTaggedType):
     group: size d with eps 0 stands for W(d)^(m/2), with eps 1 for V(d)^m.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        for d, m, e in self.entries:
+    def __init__(self, entries: tuple[tuple[int, int, int], ...] = ()):
+        EpsilonTaggedType.__init__(self, entries)
+        for d, m, e in entries:
             if e == 0 and m % 2:
                 raise SymplecticConstraintError(
                     d, f"size {d} has odd multiplicity {m} with eps = 0; odd multiplicity forces eps = 1"

@@ -5,15 +5,16 @@ multiset of block sizes (the *Jordan type*) determines the operator up to
 conjugacy.  This module does exact arithmetic on Jordan types: tensor
 products, exterior squares, and restriction/induction along the cyclic
 subgroup generated by a power of the operator.  Everything here is pure
-integer combinatorics; the matrices live in :mod:`sp2forms.oracle`.
+integer combinatorics; the matrices live in :mod:`sp2forms.oracle`.  The
+bases ``Record`` and ``Value`` give every module's result classes their
+repr and equality, and ``Value`` immutability and a hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
 
 
 def nu2(n: int) -> int:
@@ -36,19 +37,50 @@ class ParseError(ValueError):
         return f"{self.args[0]}\n  {self.text}\n  {' ' * self.pos}^"
 
 
-@dataclass(frozen=True)
-class JordanType:
+class Record:
+    """Equality and a ``Name(field=value, ...)`` repr over the instance's fields.
+
+    The fields are the instance attributes, in the order ``__init__`` sets
+    them.  Records of different classes are unequal.
+    """
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """An immutable, hashable Record: ``__init__`` sets its fields with ``object.__setattr__``.
+
+    No ``__slots__``: pickle restores slots with setattr, which raises here.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+
+class JordanType(Value):
     """A multiset of Jordan block sizes, as (size, multiplicity) pairs.
 
     Invariants: sizes strictly increasing, all sizes and multiplicities
     positive.  The empty tuple represents the zero space.
     """
 
-    blocks: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "blocks", blocks)
         prev = 0
-        for d, m in self.blocks:
+        for d, m in blocks:
             if d <= prev:
                 raise ValueError(f"block sizes must be positive and strictly increasing, got {d} after {prev}")
             if m < 1:
@@ -177,15 +209,15 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
         pos += 1
 
 
-@dataclass(frozen=True)
-class ConsecutiveOnesExpansion:
+class ConsecutiveOnesExpansion(Value):
     """Minimal alternating-sign representation n = sum of (-1)^(i+1) * 2^(e_i).
 
     Terms are (sign, exponent) pairs with strictly decreasing exponents and
     signs alternating starting with +1.
     """
 
-    terms: tuple[tuple[int, int], ...]
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "terms", terms)
 
     def value(self) -> int:
         return sum(s * (1 << e) for s, e in self.terms)

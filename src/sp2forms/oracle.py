@@ -22,11 +22,11 @@ Dimensions up to a few hundred are cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .hesselink import EpsilonTaggedType, SymplecticType
-from .jordan import JordanType
+from .jordan import JordanType, Value
 
 
 class Gf2Matrix:
@@ -302,30 +302,28 @@ def jordan_type_of(u: Gf2Matrix) -> JordanType:
     return _jordan_from_ranks(_power_chain(u)[0])
 
 
-@dataclass(frozen=True)
-class BilinearSpace:
+class BilinearSpace(Value):
     """A unipotent operator together with the Gram matrix of an invariant alternating form.
 
     Over GF(2) alternating means symmetric with zero diagonal; the form may
     be degenerate.  Invariance u^T G u = G is checked on construction.
     """
 
-    u: Gf2Matrix
-    gram: Gf2Matrix
-
-    def __post_init__(self):
-        n = self.u.nrows
-        if self.u.ncols != n or self.gram.nrows != n or self.gram.ncols != n:
+    def __init__(self, u: Gf2Matrix, gram: Gf2Matrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "gram", gram)
+        n = u.nrows
+        if u.ncols != n or gram.nrows != n or gram.ncols != n:
             raise ValueError("operator and Gram matrix must be square of equal size")
-        if self.gram.rows != self.gram.cols:
+        if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be symmetric")
-        g = self.gram.rows
+        g = gram.rows
         if any((g[i] >> i) & 1 for i in range(n)):
             raise ValueError("Gram matrix must have zero diagonal (alternating form)")
         # column j of u^T G u is u^T G (u e_j); G is symmetric, so its rows are
         # its columns, and the rows of u are the columns of u^T
-        ut = self.u.rows
-        if any(_combine(ut, _combine(g, c)) != g[j] for j, c in enumerate(self.u.cols)):
+        ut = u.rows
+        if any(_combine(ut, _combine(g, c)) != g[j] for j, c in enumerate(u.cols)):
             raise ValueError("form is not invariant under the operator")
 
     @property
@@ -343,11 +341,8 @@ class BilinearSpace:
         return f"u =\n{self.u.ascii_grid()}\ngram =\n{self.gram.ascii_grid()}"
 
 
-class PointedSpace(NamedTuple):
-    """A bilinear space together with a distinguished fixed vector."""
-
-    space: BilinearSpace
-    fixed: int
+PointedSpace = namedtuple("PointedSpace", ["space", "fixed"])
+PointedSpace.__doc__ = "A bilinear space together with a distinguished fixed vector."
 
 
 def build_v(d: int) -> BilinearSpace:

@@ -14,11 +14,10 @@ scratch and is used by the test suite to cross-check every rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hesselink import EpsilonTaggedType, SymplecticType, alpha_of, validate_symplectic
 from .jordan import (
     JordanType,
+    Value,
     consecutive_ones_powers,
     gcd_valuation,
     nu2,
@@ -29,13 +28,13 @@ from .jordan import (
 )
 
 
-@dataclass(frozen=True)
-class DualTensorClasses:
+class DualTensorClasses(Value):
     """Output of the special linear case: tagged types on V (x) V* and its subquotient."""
 
-    tensor_space: EpsilonTaggedType
-    irreducible: SymplecticType
-    alpha: int
+    def __init__(self, tensor_space: EpsilonTaggedType, irreducible: SymplecticType, alpha: int):
+        object.__setattr__(self, "tensor_space", tensor_space)
+        object.__setattr__(self, "irreducible", irreducible)
+        object.__setattr__(self, "alpha", alpha)
 
     def to_json(self) -> dict:
         return {
@@ -45,13 +44,13 @@ class DualTensorClasses:
         }
 
 
-@dataclass(frozen=True)
-class WedgeSquareClasses:
+class WedgeSquareClasses(Value):
     """Output of the symplectic case: tagged types on the wedge square and its subquotient."""
 
-    wedge_space: EpsilonTaggedType
-    irreducible: SymplecticType
-    alpha: int
+    def __init__(self, wedge_space: EpsilonTaggedType, irreducible: SymplecticType, alpha: int):
+        object.__setattr__(self, "wedge_space", wedge_space)
+        object.__setattr__(self, "irreducible", irreducible)
+        object.__setattr__(self, "alpha", alpha)
 
     def to_json(self) -> dict:
         return {

@@ -92,6 +92,22 @@ class TestTable:
         assert code == 1
         assert "mismatch" in err
 
+    @pytest.mark.parametrize("which", ["A", "C"])
+    def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, monkeypatch, which):
+        # exit 1 means a mismatch; a golden file that cannot be read fails before any row is built
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows were built")
+
+        monkeypatch.setattr(cli, "table_a_rows", no_rows)
+        monkeypatch.setattr(cli, "table_c_rows", no_rows)
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\xd0")
+        missing = tmp_path / "missing.txt"
+        for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory"), (binary, "codec")):
+            code, out, err = run(capsys, "table", which, "2..3", "--golden", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read golden file {str(path)!r}: ") and reason in err
+
     def test_table_c_all_is_superset(self, capsys):
         _, restricted, _ = run(capsys, "table", "C", "4..4")
         _, everything, _ = run(capsys, "table", "C", "4..4", "--all")

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +70,23 @@ def test_sweep_reports_satisfy_the_benchmark_checks(monkeypatch):
     workloads._check_sweep(workloads.DEFAULT_SEED, None, outcome, tally)
     assert tally.attempted > outcome.items > 0  # every class checked and every whole-output check counted
     assert tally.failed == 0, tally.notes
+
+
+# Modules the command line does not need at start-up; dataclasses alone pulls in inspect, ast, dis and tokenize.
+HEAVY_MODULES = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # python -S: no site hooks, so only the package's own imports can bring these in
+    code = (
+        "import sys, argparse, json\n"
+        "before = set(sys.modules)\n"
+        "import sp2forms.cli\n"
+        "print(json.dumps([sp2forms.cli.__file__, sorted(set(sys.modules) - before)]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    path, loaded = json.loads(done.stdout)
+    assert Path(path).resolve() == PACKAGE / "cli.py"
+    assert "sp2forms.jordan" in loaded  # the snapshot was taken before the package came in
+    assert not [name for name in HEAVY_MODULES if name in loaded], loaded
