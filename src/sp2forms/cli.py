@@ -29,7 +29,7 @@ from .distinguished import (
     verify_prop_tensor,
 )
 from .enumeration import jordan_types, symplectic_types
-from .hesselink import SymplecticType, tensor_bilinear
+from .hesselink import SymplecticType, induce_bilinear, tensor_bilinear
 from .jordan import JordanType, ParseError, consecutive_ones, tensor, wedge_square
 from .reps import dual_tensor_classes, wedge_square_classes
 
@@ -43,16 +43,16 @@ MAX_DIM_CAP = 400
 
 # Caps on the oracle-check bounds, which drive time.  Its cost about doubles
 # for each +2 in symplectic dimension: on a 2-CPU host with --jobs 1,
-# --max-dim 24 (2,256 symplectic classes) takes 25 s and --max-n 16 (913
-# Jordan types, dual tensor squares up to dimension 256) 7 s, each in
-# about 19 MB.
+# --max-dim 24 (2,256 symplectic classes) took 18 s and --max-n 16 (913
+# Jordan types, dual tensor squares up to dimension 256) 6.4 s, each in
+# about 18 MB (one run each, with the README's oracle-check table).
 ORACLE_MAX_DIM_CAP = 24
 ORACLE_MAX_N_CAP = 16
 
 # Caps on the HI of a table range, which drives time and memory: every row is
 # built in a list before printing.  At the caps, on a 2-CPU host, table A
-# 2..32 takes 3.3 s for 43,787 rows in 27 MB, and table C 2..20 0.8 s for 937
-# rows (4.3 s for 47,047 rows in 28 MB with --all).  Rows grow with the
+# 2..32 takes 3.2 s for 43,787 rows in 26 MB, and table C 2..20 0.2 s for 937
+# rows (4.5 s for 47,047 rows in 27 MB with --all).  Rows grow with the
 # partition counts: table A 2..60 would hold 6.6 million.
 TABLE_CAPS = {"A": 32, "C": 20}
 
@@ -187,13 +187,32 @@ def table_c_rows(n_lo: int, n_hi: int, show_all: bool = False) -> list[str]:
     """Rows for the symplectic table, one per class.
 
     Mirrors the published selection: every non-trivial class for n <= 3, only
-    those with positive 2-adic content for larger n; show_all lifts the
-    restriction.
+    those with positive 2-adic content (``alpha_of(s) > 0``) for larger n;
+    show_all lifts the restriction.
+
+    The restricted classes of dimension 2n are built by doubling: they are
+    exactly ``induce_bilinear(t, 1)`` for t in ``symplectic_types(n)``, in
+    the same order, so none of the classes with alpha 0 is generated.
+
+    - ``alpha_of(s) > 0`` says that every untagged size is even and every
+      tagged size is divisible by 4.
+    - Halving every size maps these classes one-to-one onto the symplectic
+      classes of dimension n.  A size that is 2 mod 4 has an odd half; it
+      must be untagged, so its multiplicity is even, which is the parity law
+      for an odd size.  A size divisible by 4 keeps its tag, and an even
+      half may carry either tag.
+    - Doubling keeps the reverse-lexicographic order of partitions and the
+      tag order of ``epsilon_variants``.  The free choices it drops are tag
+      1 on sizes that are 2 mod 4, and those have alpha 0.
+    - The trivial class has alpha 0 and is never a double.
     """
     rows = []
     for n in range(max(2, n_lo), n_hi + 1):
-        restrict = (not show_all) and n > 3
-        for s in symplectic_types(2 * n, alpha_positive=restrict, include_trivial=False):
+        if show_all or n <= 3:
+            classes = symplectic_types(2 * n, include_trivial=False)
+        else:
+            classes = (induce_bilinear(t, 1) for t in symplectic_types(n))
+        for s in classes:
             res = wedge_square_classes(s)
             rows.append(f"{s.pretty()} | {res.wedge_space.pretty()} | {res.irreducible.pretty()} | {res.alpha}")
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from .hesselink import SymplecticType, alpha_of
+from .hesselink import SymplecticType
 from .jordan import JordanType
 
 Partition = tuple[tuple[int, int], ...]
@@ -98,16 +98,9 @@ def class_counts(dim: int, symplectic: bool = False) -> list[int]:
     return ways
 
 
-def symplectic_types(
-    dim: int,
-    alpha_positive: bool = False,
-    include_trivial: bool = True,
-) -> Iterator[SymplecticType]:
+def symplectic_types(dim: int, include_trivial: bool = True) -> Iterator[SymplecticType]:
     """All symplectic classes of the given dimension, in table order."""
     for p in symplectic_partitions(dim):
         if not include_trivial and all(d == 1 for d, _ in p):
             continue
-        for s in epsilon_variants(p):
-            if alpha_positive and alpha_of(s) == 0:
-                continue
-            yield s
+        yield from epsilon_variants(p)

@@ -172,6 +172,53 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
     Returns (d, m) or (d, m, e) tuples sorted by size; ``0`` gives the empty
     tuple.  Every error is a ParseError at the offending position.
     """
+    terms = _split_terms(text, tagged)
+    return _scan_sequential(text, tagged) if terms is None else terms
+
+
+def _split_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...] | None:
+    """The terms of a plain type string, found with str methods; None for anything else.
+
+    Plain means ASCII with no spaces or parentheses, no leading ``0``, every
+    field digits and every value positive, tags 0 or 1 and no size twice.
+    On these strings it returns what :func:`_scan_sequential` returns.  Every
+    other string, valid or not, is left to the scanner, and so is an
+    ``int()`` past the digit limit, so parse errors have one home.  No
+    regular expression: compiling one at import would cost start-up time.
+    """
+    if text[:1] == "0" or not text.isascii():
+        return None
+    terms: dict[int, tuple[int, ...]] = {}
+    try:
+        for term in text.split(","):
+            head, caret, m = term.partition("^")
+            if tagged:
+                head, _, e = head.partition("_")
+            if not head.isdigit():
+                return None
+            d = int(head)
+            if not d:
+                return None
+            if tagged and e != "0" and e != "1":
+                return None
+            if caret:
+                if not m.isdigit():
+                    return None
+                m = int(m)
+                if not m:
+                    return None
+            else:
+                m = 1
+            if d in terms:
+                return None
+            terms[d] = (d, m, int(e)) if tagged else (d, m)
+    except ValueError:
+        return None
+    return tuple(sorted(terms.values()))
+
+
+def _scan_sequential(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
+    """The scanner behind :func:`_scan_terms`: one character at a time, with spaces and parentheses."""
     text = _strip_parens(text)
     pos = _skip_ws(text, 0)
     if pos < len(text) and text[pos] == "0":
@@ -377,17 +424,26 @@ def wedge_square(j: JordanType) -> JordanType:
     d-block plus C(m, 2) copies of the d x d tensor product; distinct sizes
     contribute their pairwise tensor products.
     """
-    out: dict[int, int] = {}
-    blocks = j.blocks
-    for i, (d, m) in enumerate(blocks):
-        grow_wedge_square(out, blocks[:i], d, m)
-    return JordanType.from_dict(out)
+    return JordanType.from_dict(square_multiplicities(grow_wedge_square, j.blocks))
 
 
 # Square growth: each step adds in place to the Jordan multiplicities of a
-# square of a prefix P what m more blocks of size d contribute.  tensor and
-# wedge_square fold them over their blocks; the partition search of
-# distinguished grows partial tensor and wedge squares one size at a time.
+# square of a prefix P what m more blocks of size d contribute.  tensor,
+# wedge_square and the rules of reps fold them over their blocks; the
+# partition search of distinguished grows partial tensor and wedge squares
+# one size at a time.
+
+
+def square_multiplicities(grow, blocks) -> dict[int, int]:
+    """Size -> multiplicity of a square of the sum of ``blocks``, grown one size at a time by ``grow``.
+
+    ``grow`` is :func:`grow_tensor_square` or :func:`grow_wedge_square`; each
+    size meets only the sizes before it, so k sizes make k(k+1)/2 pairs.
+    """
+    out: dict[int, int] = {}
+    for i, (d, m) in enumerate(blocks):
+        grow(out, blocks[:i], d, m)
+    return out
 
 
 def grow_product(square: dict[int, int], factor: Iterable[tuple[int, int]], d: int, m: int) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import lru_cache
 
 from .hesselink import EpsilonTaggedType, SymplecticType
 from .jordan import JordanType, Value
@@ -345,12 +346,14 @@ PointedSpace = namedtuple("PointedSpace", ["space", "fixed"])
 PointedSpace.__doc__ = "A bilinear space together with a distinguished fixed vector."
 
 
+@lru_cache(maxsize=None)
 def build_v(d: int) -> BilinearSpace:
     """The orthogonally indecomposable single-block space V(d), d even.
 
     The operator is a regular unipotent symplectic element written on a basis
     where the Gram matrix is the anti-diagonal: u e_1 = e_1,
     u e_i = e_i + ... + e_1 for i <= d/2 + 1, and u e_i = e_i + e_(i-1) above.
+    Cached per size, as the space is an immutable value.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"V(d) requires an even positive size, got {d}")
@@ -371,11 +374,13 @@ def build_v(d: int) -> BilinearSpace:
     return BilinearSpace(u, gram)
 
 
+@lru_cache(maxsize=None)
 def build_w(d: int) -> BilinearSpace:
     """The paired space W(d): a block and its dual with the evaluation form.
 
     The operator acts on coordinates of the dual block by the inverse
-    transpose; the Gram matrix is the hyperbolic [[0, I], [I, 0]].
+    transpose; the Gram matrix is the hyperbolic [[0, I], [I, 0]].  Cached
+    per size, as the space is an immutable value.
     """
     if d <= 0:
         raise ValueError(f"W(d) requires a positive size, got {d}")

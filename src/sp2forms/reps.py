@@ -14,17 +14,18 @@ scratch and is used by the test suite to cross-check every rule.
 
 from __future__ import annotations
 
-from .hesselink import EpsilonTaggedType, SymplecticType, alpha_of, validate_symplectic
+from .hesselink import EpsilonTaggedType, SymplecticType, alpha_of
 from .jordan import (
     JordanType,
     Value,
+    _wedge_block,
     consecutive_ones_powers,
     gcd_valuation,
+    grow_tensor_square,
+    grow_wedge_square,
     nu2,
-    tensor,
+    square_multiplicities,
     unique_odd_block,
-    wedge_block,
-    wedge_square,
 )
 
 
@@ -103,24 +104,24 @@ def _is_halving_case(n: int, alpha: int) -> bool:
     return n % 2 == 0 and alpha > 1 and (n >> alpha) % 2 == 1
 
 
-def _tag(lam: dict[int, int], tagged_sizes: set[int]) -> EpsilonTaggedType:
-    entries = tuple((d, m, 1 if d in tagged_sizes else 0) for d, m in sorted(lam.items()))
-    return EpsilonTaggedType(entries)
+def _tag(lam: dict[int, int], tagged_sizes: set[int]) -> tuple[tuple[int, int, int], ...]:
+    """Sorted (size, multiplicity, eps) entries of a multiplicity dict, eps = 1 on tagged_sizes."""
+    return tuple((d, m, 1 if d in tagged_sizes else 0) for d, m in sorted(lam.items()))
 
 
 def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     """Tagged classes of the action of u on V (x) V* and its simple subquotient.
 
     The Jordan type of the big space is the tensor square of j (every module
-    here is self-dual).  A size is tagged exactly when it is a power of two
-    larger than one appearing in the consecutive-ones expansion of some block
-    size of j.  The subquotient follows the fixed-vector rules, with the new
+    here is self-dual), grown one block size at a time.  A size is tagged
+    exactly when it is a power of two larger than one appearing in the
+    consecutive-ones expansion of some block size of j.  The subquotient follows the fixed-vector rules, with the new
     2^alpha - 2 block forcibly tagged in the halving case.
     """
     n = j.dimension()
     if j.is_empty() or n < 2:
         raise ValueError(f"need a non-empty type of dimension at least 2, got dimension {n}")
-    lam = tensor(j, j).to_dict()
+    lam = square_multiplicities(grow_tensor_square, j.blocks)
     alpha = gcd_valuation(j.sizes())
     tagged: set[int] = set()
     for d in j.sizes():
@@ -136,8 +137,8 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
             raise RuntimeError(f"size {new_size} should not be tagged on the tensor square")
         tagged_sub.add(new_size)
 
-    full = _tag(lam, tagged)
-    irr = validate_symplectic(_tag(lam_sub, tagged_sub))
+    full = EpsilonTaggedType(_tag(lam, tagged))
+    irr = SymplecticType(_tag(lam_sub, tagged_sub))
     return DualTensorClasses(tensor_space=full, irreducible=irr, alpha=alpha)
 
 
@@ -145,7 +146,8 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     """Tagged classes of the action of u on the wedge square and its subquotient.
 
     Inputs are symplectic class data; sizes with eps = 1 enter the size
-    bookkeeping at half their value.  A size of the wedge square is tagged
+    bookkeeping at half their value.  The Jordan type of the wedge square
+    is grown one block size at a time.  A size of the wedge square is tagged
     when it comes from the consecutive-ones powers of a hyperbolic summand,
     from the wedge of a tagged single-block summand, or from the cross term
     of two tagged summands sharing a 2-adic valuation.  The subquotient keeps
@@ -160,13 +162,13 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     w_sizes = [(d, m) for d, m, e in s.entries if e == 0]
     v_halves = [(d // 2, m) for d, m, e in s.entries if e == 1]
     alpha = alpha_of(s)
-    lam = wedge_square(s.jordan()).to_dict()
+    lam = square_multiplicities(grow_wedge_square, [(d, m) for d, m, _ in s.entries])
 
     tagged: set[int] = set()
     for d, _ in w_sizes:
         tagged |= consecutive_ones_powers(d)
     for h, _ in v_halves:
-        tagged |= {sz for sz in wedge_block(2 * h).sizes() if sz > 1}
+        tagged |= {sz for sz, _ in _wedge_block(2 * h) if sz > 1}
     for i, (h1, m1) in enumerate(v_halves):
         for jdx in range(i, len(v_halves)):
             h2, m2 = v_halves[jdx]
@@ -196,6 +198,6 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
             if (n >> alpha) % 2:
                 tagged_sub.add(a - 2)
 
-    full = _tag(lam, tagged)
-    irr = validate_symplectic(_tag(lam_sub, tagged_sub))
+    full = EpsilonTaggedType(_tag(lam, tagged))
+    irr = SymplecticType(_tag(lam_sub, tagged_sub))
     return WedgeSquareClasses(wedge_space=full, irreducible=irr, alpha=alpha)

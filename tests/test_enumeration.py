@@ -8,7 +8,7 @@ from sp2forms.enumeration import (
     symplectic_partitions,
     symplectic_types,
 )
-from sp2forms.hesselink import alpha_of
+from sp2forms.hesselink import alpha_of, induce_bilinear
 
 
 def test_partitions_reverse_lex():
@@ -53,10 +53,18 @@ def test_forced_tags():
 
 def test_symplectic_types_alpha_filter():
     unrestricted = list(symplectic_types(8))
-    positive = list(symplectic_types(8, alpha_positive=True))
+    positive = [s for s in unrestricted if alpha_of(s) > 0]
     assert [str(s) for s in positive] == ["8_1", "4_1^2", "4_0^2", "2_0^2,4_1", "2_0^4"]
     assert set(map(str, positive)) < set(map(str, unrestricted))
-    assert all(alpha_of(s) > 0 for s in positive)
+
+
+def test_alpha_positive_classes_are_the_doubles():
+    # table C builds its restricted rows by doubling; the filter written out here is the definition
+    counts = class_counts(12, symplectic=True)
+    for n in range(1, 13):
+        positive = [s for s in symplectic_types(2 * n) if alpha_of(s) > 0]
+        assert positive == [induce_bilinear(t, 1) for t in symplectic_types(n)], n
+        assert len(positive) == counts[n]
 
 
 def test_trivial_exclusion():

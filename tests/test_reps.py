@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from sp2forms.enumeration import class_counts, jordan_types, symplectic_types
 from sp2forms.hesselink import (
     SymplecticType,
     merge_tagged,
@@ -102,6 +103,15 @@ class TestDualTensorClasses:
             want = n * n - (1 if n % 2 else 2)
             assert res.irreducible.dimension() == want
 
+    def test_grown_square_is_the_tensor_square(self):
+        # dual_tensor_classes grows the square over block prefixes; tensor multiplies every pair
+        count = 0
+        for n in range(2, 15):
+            for j in jordan_types(n):
+                assert dual_tensor_classes(j).tensor_space.jordan() == tensor(j, j), j
+                count += 1
+        assert count == sum(class_counts(14)[2:])
+
     def test_degenerate_full_space_for_odd_dimension(self):
         # odd dimension: the full-space form has a radical, so the tagged
         # type fails the symplectic parity laws by design
@@ -138,6 +148,14 @@ class TestWedgeSquareClasses:
         n = s.dimension() // 2
         want = res.wedge_space.dimension() - (1 if n % 2 else 2)
         assert res.irreducible.dimension() == want
+
+    def test_grown_square_is_the_wedge_square(self):
+        count = 0
+        for dim in range(4, 17, 2):
+            for s in symplectic_types(dim):
+                assert wedge_square_classes(s).wedge_space.jordan() == wedge_square(s.jordan()), s
+                count += 1
+        assert count == sum(class_counts(16, symplectic=True)[4:])
 
     def test_block_decomposition_of_dual_tensor(self):
         # the big space splits into per-block dual tensor squares plus a

@@ -90,3 +90,19 @@ def test_cli_import_loads_no_heavy_modules():
     assert Path(path).resolve() == PACKAGE / "cli.py"
     assert "sp2forms.jordan" in loaded  # the snapshot was taken before the package came in
     assert not [name for name in HEAVY_MODULES if name in loaded], loaded
+
+
+def test_library_import_compiles_no_regex():
+    # a regular expression compiled at import would be paid by every run's start-up; the parsers use str methods
+    # (json imports re, so the result is printed without it)
+    code = (
+        "import sys\n"
+        "import sp2forms, sp2forms.crosscheck, sp2forms.distinguished, sp2forms.enumeration, sp2forms.oracle\n"
+        "print(sp2forms.__file__)\n"
+        "print('re' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    path, loaded = done.stdout.splitlines()
+    assert Path(path).resolve() == PACKAGE / "__init__.py"
+    assert loaded == "False"
