@@ -265,6 +265,8 @@ def _cmd_oracle_check(args) -> int:
         from . import oracle
 
         for s in symplectic_types(min(args.max_dim, 6)):
+            if s.is_empty():  # dimension 0 has no matrices
+                continue
             space = oracle.space_from_type(s)
             print(f"class {s}:\n{space.ascii_grids()}")
     if args.json:

@@ -91,9 +91,7 @@ class EpsilonTaggedType(Value):
 
     def pretty(self) -> str:
         """Parenthesized rendering matching the published tables, e.g. ``(1_0^2, 2_1)``."""
-        if not self.entries:
-            return "(0)"
-        return "(" + ", ".join(f"{d}_{e}^{m}" if m > 1 else f"{d}_{e}" for d, m, e in self.entries) + ")"
+        return "(" + str(self).replace(",", ", ") + ")"
 
     def to_json(self) -> dict:
         return {"entries": [[d, m, e] for d, m, e in self.entries]}

@@ -121,9 +121,7 @@ class JordanType(Value):
 
     def pretty(self) -> str:
         """Parenthesized, space-separated rendering, e.g. ``(1^2, 2)``."""
-        if not self.blocks:
-            return "(0)"
-        return "(" + ", ".join(f"{d}^{m}" if m > 1 else str(d) for d, m in self.blocks) + ")"
+        return "(" + str(self).replace(",", ", ") + ")"
 
     def to_json(self) -> dict:
         return {"blocks": [[d, m] for d, m in self.blocks]}
@@ -142,118 +140,83 @@ class JordanType(Value):
         return cls(_scan_terms(text, tagged=False))
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] == " ":
-        pos += 1
-    return pos
-
-
-def _scan_int(text: str, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_ws(text, pos)
-    start = pos
-    while pos < len(text) and text[pos] in "0123456789":  # not isdigit(), which takes '²' and '٣'
-        pos += 1
-    if pos == start:
-        raise ParseError(text, start, f"expected {what}")
-    return int(text[start:pos]), pos
-
-
-def _strip_parens(text: str) -> str:
-    """Allow the parenthesized table rendering as parser input."""
-    inner = text.strip()
-    if inner.startswith("(") and inner.endswith(")"):
-        return inner[1:-1]
-    return text
-
-
 def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
     """Scan comma-separated ``d^m`` terms, or ``d_e^m`` terms when tagged.
 
     Returns (d, m) or (d, m, e) tuples sorted by size; ``0`` gives the empty
-    tuple.  Every error is a ParseError at the offending position.
+    tuple.  Terms are cut at ``,``, ``^`` and ``_`` with str methods; a field
+    of bare ASCII digits with a nonzero value is read in place, and any other
+    field goes to :func:`_scan_field`.  Every error is a ParseError at the
+    offending position, the first one met reading left to right, except that
+    a character no term can take is reported after the duplicate size check.
+    No regular expression: compiling one at import would cost start-up time.
     """
-    terms = _split_terms(text, tagged)
-    return _scan_sequential(text, tagged) if terms is None else terms
-
-
-def _split_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...] | None:
-    """The terms of a plain type string, found with str methods; None for anything else.
-
-    Plain means ASCII with no spaces or parentheses, no leading ``0``, every
-    field digits and every value positive, tags 0 or 1 and no size twice.
-    On these strings it returns what :func:`_scan_sequential` returns.  Every
-    other string, valid or not, is left to the scanner, and so is an
-    ``int()`` past the digit limit, so parse errors have one home.  No
-    regular expression: compiling one at import would cost start-up time.
-    """
-    if text[:1] == "0" or not text.isascii():
-        return None
+    if text[:1] in " (0":  # a space, "(" or "0" first; "" enters too
+        inner = text.strip(" ")
+        if inner[:1] == "(" and inner[-1:] == ")":  # the parenthesized table rendering
+            text = inner[1:-1]
+        tail = text.lstrip(" ")
+        if tail[:1] == "0":
+            tail = tail[1:].lstrip(" ")
+            if not tail:
+                return ()
+            raise ParseError(text, len(text) - len(tail), "unexpected input after '0'")
+    ascii_only = text.isascii()  # isdigit() alone takes '²' and '٣'
     terms: dict[int, tuple[int, ...]] = {}
-    try:
-        for term in text.split(","):
-            head, caret, m = term.partition("^")
-            if tagged:
-                head, _, e = head.partition("_")
-            if not head.isdigit():
-                return None
-            d = int(head)
-            if not d:
-                return None
-            if tagged and e != "0" and e != "1":
-                return None
-            if caret:
-                if not m.isdigit():
-                    return None
-                m = int(m)
-                if not m:
-                    return None
+    at = 0
+    for term in text.split(","):
+        size, caret, mult = term.partition("^")
+        if tagged:
+            size, under, e = size.partition("_")
+        junk = -1  # where a character the term cannot take starts
+        d = int(size) if ascii_only and size.isdigit() else 0
+        if not d:
+            d, junk = _scan_field(text, at, size, "block size")
+        if tagged:
+            if junk < 0 and not under:
+                junk = at + len(size)
+            if junk >= 0:
+                raise ParseError(text, junk, "expected '_' and an eps tag")
+            if e == "0" or e == "1":
+                e = int(e)
             else:
-                m = 1
-            if d in terms:
-                return None
-            terms[d] = (d, m, int(e)) if tagged else (d, m)
-    except ValueError:
-        return None
+                e, junk = _scan_field(text, at + len(size) + 1, e, "eps tag")
+        m = 1
+        if caret and junk < 0:
+            m = int(mult) if ascii_only and mult.isdigit() else 0
+            if not m:
+                m, junk = _scan_field(text, at + len(term) - len(mult), mult, "multiplicity")
+        if d in terms:
+            raise ParseError(text, at + len(size) - len(size.lstrip(" ")), f"duplicate block size {d}")
+        terms[d] = (d, m, e) if tagged else (d, m)
+        if junk >= 0:
+            raise ParseError(text, junk, f"expected ',' or end of input, got {text[junk]!r}")
+        at += len(term) + 1
     return tuple(sorted(terms.values()))
 
 
-def _scan_sequential(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
-    """The scanner behind :func:`_scan_terms`: one character at a time, with spaces and parentheses."""
-    text = _strip_parens(text)
-    pos = _skip_ws(text, 0)
-    if pos < len(text) and text[pos] == "0":
-        tail = _skip_ws(text, pos + 1)
-        if tail == len(text):
-            return ()
-        raise ParseError(text, tail, "unexpected input after '0'")
-    terms: dict[int, tuple[int, ...]] = {}
-    while True:
-        at = _skip_ws(text, pos)
-        d, pos = _scan_int(text, pos, "block size")
-        if d == 0:
-            raise ParseError(text, at, "block size must be positive")
-        if tagged:
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != "_":
-                raise ParseError(text, pos, "expected '_' and an eps tag")
-            e, pos = _scan_int(text, pos + 1, "eps tag")
-            if e not in (0, 1):
-                raise ParseError(text, pos - 1, f"eps tag must be 0 or 1, got {e}")
-        m = 1
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == "^":
-            m, pos = _scan_int(text, pos + 1, "multiplicity")
-            if m == 0:
-                raise ParseError(text, pos - 1, "multiplicity must be positive")
-        if d in terms:
-            raise ParseError(text, at, f"duplicate block size {d}")
-        terms[d] = (d, m, e) if tagged else (d, m)
-        pos = _skip_ws(text, pos)
-        if pos == len(text):
-            return tuple(sorted(terms.values()))
-        if text[pos] != ",":
-            raise ParseError(text, pos, f"expected ',' or end of input, got {text[pos]!r}")
-        pos += 1
+def _scan_field(text: str, at: int, field: str, what: str) -> tuple[int, int]:
+    """Read the integer of a field at position ``at`` of ``text``: its value, and where any rest starts.
+
+    Spaces may stand around the ASCII digits.  The rest position is that of
+    the first other character after the digits, or -1 if there is none.
+    Missing digits, a zero block size or multiplicity and an eps tag other
+    than 0 or 1 raise ParseError.
+    """
+    body = field.lstrip(" ")
+    at += len(field) - len(body)
+    rest = body.lstrip("0123456789")
+    digits = len(body) - len(rest)
+    if not digits:
+        raise ParseError(text, at, f"expected {what}")
+    value = int(body[:digits])
+    last = at + digits - 1
+    if what == "eps tag" and value > 1:
+        raise ParseError(text, last, f"eps tag must be 0 or 1, got {value}")
+    if not value and what != "eps tag":
+        raise ParseError(text, at if what == "block size" else last, f"{what} must be positive")
+    tail = rest.lstrip(" ")
+    return value, (at + len(body) - len(tail) if tail else -1)
 
 
 class ConsecutiveOnesExpansion(Value):

@@ -139,6 +139,10 @@ class TestSweepCommands:
         code, out, _ = run(capsys, "oracle-check", "--max-dim", "4", "--max-n", "2", "--dump-matrices")
         assert code == 0
         assert "u =" in out and "gram =" in out
+        # dimension 0 has only the empty class, which has no matrices to print
+        code, out, _ = run(capsys, "oracle-check", "--max-dim", "0", "--max-n", "2", "--dump-matrices")
+        assert code == 0
+        assert "PASS" in out and "class" not in out
 
     @pytest.mark.parametrize(
         "argv", [("--max-dim", "25"), ("--max-n", "17"), ("--max-dim", "-1"), ("--max-n", "-1")]

@@ -1,7 +1,7 @@
 """The type-string parsers agree with a one-character-at-a-time reference scanner.
 
-``reference_scan`` is the scanner the package used before it gained a
-str-method fast path for plain strings, kept verbatim as the specification:
+``reference_scan`` reads a type string one character at a time.  It is the
+specification of the package's scanner, which cuts terms with str methods:
 every accepted string gives the same terms, and every rejected one the same
 ``ParseError`` position and message.
 """
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sp2forms.enumeration import jordan_types, symplectic_types
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType
-from sp2forms.jordan import JordanType, ParseError, _split_terms
+from sp2forms.jordan import JordanType, ParseError
 
 
 def _skip_ws(text, pos):
@@ -32,7 +32,7 @@ def _scan_int(text, pos, what):
 
 
 def _strip_parens(text):
-    inner = text.strip()
+    inner = text.strip(" ")
     if inner.startswith("(") and inner.endswith(")"):
         return inner[1:-1]
     return text
@@ -119,12 +119,23 @@ ALPHABET = "0123456789_^, ()\t²٣ax"
 @example("1_0_1")
 @example("(3, 5)")
 @example("\t(3,5)\n")
+@example("\t3,5")
+@example("3,5\n")
 @example("3\t")
 @example("3,,5")
 @example("3^")
 @example("٣")
 @example("3^²")
 @example("1" * 5000)  # past int()'s digit limit
+@example(" 3")
+@example("(3)")
+@example("3,3")
+@example("3^0")
+@example("3_2")
+@example("3,")
+@example("2_1,2_1")
+@example("2_1^0")
+@example("2_1,")
 def test_parsers_agree_on_any_string(text):
     _assert_agrees(text)
 
@@ -153,16 +164,20 @@ def test_parsers_agree_on_typed_strings(text):
     _assert_agrees(text)
 
 
-def test_plain_renderings_take_the_fast_path():
-    # the agreement tests would pass vacuously if every string fell back to the scanner
-    for n in range(1, 13):
-        for j in jordan_types(n):
-            assert _split_terms(str(j), False) == j.blocks
-        for s in symplectic_types(n):
-            assert _split_terms(str(s), True) == s.entries
+@pytest.mark.parametrize("n", range(13))
+def test_renderings_parse_back(n):
+    for j in jordan_types(n):
+        assert JordanType.parse(str(j)) == j
+        assert JordanType.parse(j.pretty()) == j
+    for s in symplectic_types(n):
+        for cls in (EpsilonTaggedType, SymplecticType):
+            assert cls.parse(str(s)) == s
+            assert cls.parse(s.pretty()) == s
 
 
-@pytest.mark.parametrize("text", ["0", " 3", "(3)", "3,3", "3^0", "03", "3_2", "٣", "3,", "1" * 5000])
-def test_other_strings_fall_back(text):
-    assert _split_terms(text, False) is None
-    assert _split_terms(text.replace("3", "2_1"), True) is None
+@pytest.mark.parametrize("text", ["\t(3,5)\n", "\t3,5", "3,5\n"])
+def test_only_spaces_surround_a_type(text):
+    # tabs and newlines are not stripped, with or without parentheses
+    for cls, _ in PARSERS:
+        with pytest.raises(ParseError):
+            cls.parse(text)
