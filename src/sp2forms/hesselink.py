@@ -87,7 +87,7 @@ class EpsilonTaggedType(Value):
     def __str__(self) -> str:
         if not self.entries:
             return "0"
-        return ",".join(f"{d}_{e}^{m}" if m > 1 else f"{d}_{e}" for d, m, e in self.entries)
+        return ",".join([f"{d}_{e}^{m}" if m > 1 else f"{d}_{e}" for d, m, e in self.entries])
 
     def pretty(self) -> str:
         """Parenthesized rendering matching the published tables, e.g. ``(1_0^2, 2_1)``."""
@@ -176,54 +176,58 @@ def orthogonal_sum(*types: SymplecticType) -> SymplecticType:
     return validate_symplectic(merge_tagged(*types))
 
 
-def _summands(s: SymplecticType) -> list[tuple[str, int, int]]:
-    """Indecomposable summands of a class as ('W'|'V', size, count) triples."""
-    out = []
-    for d, m, e in s.entries:
-        if e:
-            out.append(("V", d, m))
+def _tag(square: dict[int, int], tagged: set[int]) -> tuple[tuple[int, int, int], ...]:
+    """Sorted (size, multiplicity, eps) entries of a multiplicity dict, eps = 1 on the tagged sizes."""
+    return tuple([(d, m, 1 if d in tagged else 0) for d, m in sorted(square.items())])
+
+
+def grow_bilinear(
+    square: dict[int, int], tagged: set[int], factor: Iterable[tuple[int, int, int]], d: int, m: int, e: int
+) -> None:
+    """S x (P + d_e^m) = S x P + S x d_e^m, for the fixed factor S with entries ``factor``.
+
+    Each pair of entries adds its product's multiplicities to ``square`` and
+    its tagged size, if any, to ``tagged``.  Any hyperbolic factor makes the
+    product hyperbolic: W(a) x V(b) and W(a) x W(b) are 2 and 4 copies of the
+    blocks of a x b, untagged, and an untagged entry of multiplicity m holds
+    m/2 copies of W(a), so a pair of entries adds m1 m copies of d1 x d.  Two
+    tagged single blocks V(2h1) x V(2h2) give the blocks of h1 x h2 doubled in
+    size and in multiplicity, all untagged except the one size whose halved
+    value shares the 2-adic valuation of both factors.
+    """
+    get = square.get
+    h = d >> 1
+    for d1, m1, e1 in factor:
+        k = m1 * m
+        if e1 and e:
+            h1 = d1 >> 1
+            inner = _tensor_blocks(h1, h)
+            alpha = nu2(h1)
+            if alpha == nu2(h):
+                dj = unique_odd_block(h1 >> alpha, h >> alpha) << alpha
+                mult = dict(inner).get(dj, 0)
+                if mult != 1 << alpha:
+                    raise RuntimeError(f"tagged block of {d1} x {d} has multiplicity {mult}")
+                tagged.add(2 * dj)
+            k *= 2
+            for a, c in inner:
+                square[2 * a] = get(2 * a, 0) + k * c
         else:
-            out.append(("W", d, m // 2))
-    return out
-
-
-def _pair_product(kind1: str, d1: int, kind2: str, d2: int) -> list[tuple[int, int, int]]:
-    """Tagged type of the product of two indecomposables, as (size, mult, eps) pieces."""
-    if kind1 == "V" and kind2 == "V":
-        h1, h2 = d1 // 2, d2 // 2
-        inner = _tensor_blocks(h1, h2)
-        if nu2(h1) != nu2(h2):
-            return [(2 * a, 2 * c, 0) for a, c in inner]
-        alpha = nu2(h1)
-        dj = unique_odd_block(h1 >> alpha, h2 >> alpha) << alpha
-        mult = dict(inner).get(dj, 0)
-        if mult != 1 << alpha:
-            raise RuntimeError(f"tagged block of {d1} x {d2} has multiplicity {mult}")
-        return [(2 * a, 2 * c, int(a == dj)) for a, c in inner]
-    if kind1 == "W" and kind2 == "W":
-        # both factors hyperbolic: every block doubles and stays untagged
-        return [(a, 4 * c, 0) for a, c in _tensor_blocks(d1, d2)]
-    # one hyperbolic factor absorbs the tag of the other
-    return [(a, 2 * c, 0) for a, c in _tensor_blocks(d1, d2)]
+            for a, c in _tensor_blocks(d1, d):
+                square[a] = get(a, 0) + k * c
 
 
 def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
     """Class of the tensor product of two symplectic classes.
 
-    Expands both factors into indecomposables, multiplies pairwise, and
-    recombines.  Any hyperbolic factor makes the product hyperbolic; a
-    product of two tagged single-block pieces is hyperbolic except at the
-    one size whose halved value shares the 2-adic valuation of both factors,
-    which stays tagged.
+    Grown one entry of s2 at a time by :func:`grow_bilinear`, which adds each
+    pair of entries in place; the tag of a size is set when any pair tags it.
     """
-    summands2 = _summands(s2)
-    pieces = (
-        (a, c1 * c2 * m, e)
-        for kind1, d1, c1 in _summands(s1)
-        for kind2, d2, c2 in summands2
-        for a, m, e in _pair_product(kind1, d1, kind2, d2)
-    )
-    return SymplecticType(_merge(pieces))
+    square: dict[int, int] = {}
+    tagged: set[int] = set()
+    for d, m, e in s2.entries:
+        grow_bilinear(square, tagged, s1.entries, d, m, e)
+    return SymplecticType(_tag(square, tagged))
 
 
 def restrict_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
@@ -238,9 +242,9 @@ def restrict_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
         raise ValueError(f"alpha must be positive, got {alpha}")
     half = 1 << (alpha - 1)
     pieces = []
-    for kind, d, count in _summands(s):
-        if kind == "W":
-            pieces += [(a, 2 * m * count, 0) for a, m in restrict_power(JordanType(((d, 1),)), alpha).blocks]
+    for d, count, e in s.entries:
+        if not e:
+            pieces += [(a, m * count, 0) for a, m in restrict_power(JordanType(((d, 1),)), alpha).blocks]
         else:
             h = d // 2
             if h % (1 << alpha) == 0:

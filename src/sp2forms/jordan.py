@@ -117,7 +117,7 @@ class JordanType(Value):
     def __str__(self) -> str:
         if not self.blocks:
             return "0"
-        return ",".join(f"{d}^{m}" if m > 1 else str(d) for d, m in self.blocks)
+        return ",".join([f"{d}^{m}" if m > 1 else str(d) for d, m in self.blocks])
 
     def pretty(self) -> str:
         """Parenthesized, space-separated rendering, e.g. ``(1^2, 2)``."""
@@ -281,6 +281,7 @@ def consecutive_ones(n: int) -> ConsecutiveOnesExpansion:
     return ConsecutiveOnesExpansion(tuple(terms))
 
 
+@lru_cache(maxsize=None)
 def consecutive_ones_powers(n: int) -> frozenset[int]:
     """The powers of two larger than 1 appearing in the expansion of n."""
     return frozenset(p for p in consecutive_ones(n).powers() if p > 1)

@@ -253,8 +253,7 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
 
     X^h is the first zero power.  The chain keeps a basis of Im X^k, each
     vector w tagged with a preimage p, so that w = X^k p; it starts from the
-    unit vectors at k = 0, and the columns of X are those of u with the
-    diagonal bit flipped.  Im X^(k+1) is X applied to Im X^k, so one
+    unit vectors at k = 0.  Im X^(k+1) is X applied to Im X^k, so one
     elimination of the X w, with each tag holding p above w, gives the rank
     of X^(k+1) as its number of pivots, and the pivots with their p are a
     basis of Im X^(k+1) tagged as before.  Each dependency is a v = p sum
@@ -265,21 +264,23 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
     them: layers 1..d together are a basis of Ker X^d.  The ranks fall until
     the image stops shrinking, and then stay put; so u is unipotent exactly
     when they fall to zero, and the chain raises as soon as an elimination
-    finds no dependency.
+    finds no dependency.  X applied to the unit vector e_j is column j of X,
+    which is column j of u with the diagonal bit flipped, so the first
+    elimination takes the columns of X as they are.
     """
     n = u.nrows
     low = (1 << n) - 1
     x = [c ^ (1 << j) for j, c in enumerate(u.cols)]
-    images = [1 << i for i in range(n)]
-    tags = [w << n | w for w in images]  # p << n | w
+    applied = x
+    tags = [(1 << n | 1) << j for j in range(n)]  # p << n | w, both e_j
     ranks, layers = [n], [[]]
-    while images:
-        pivots, dependencies = _echelon([_combine(x, w) for w in images], tags)
+    while applied:
+        pivots, dependencies = _echelon(applied, tags)
         if not dependencies:
             raise ValueError("matrix is not unipotent: rank profile does not vanish")
         ranks.append(len(pivots))
         layers.append([(t >> n, t & low) for t in dependencies])
-        images = [w for w, _ in pivots.values()]
+        applied = [_combine(x, w) for w, _ in pivots.values()]
         tags = [t >> n << n | w for w, t in pivots.values()]
     return ranks, layers
 
@@ -476,11 +477,12 @@ def wedge_space(a: BilinearSpace) -> PointedSpace:
     m = a.dim
     if m < 4:
         raise ValueError(f"need dimension at least 4, got {m}")
-    if not a.is_nondegenerate():
-        raise ValueError("wedge square form requires a non-degenerate input space")
+    try:
+        h = a.gram.inverse().rows
+    except ValueError:  # a singular Gram matrix
+        raise ValueError("wedge square form requires a non-degenerate input space") from None
     offsets = _pair_offsets(m)
     g = a.gram.rows
-    h = a.gram.inverse().rows
     phi = beta = 0
     for i in range(m):
         phi ^= (g[i] >> (i + 1)) << offsets[i]

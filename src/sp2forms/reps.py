@@ -14,7 +14,9 @@ scratch and is used by the test suite to cross-check every rule.
 
 from __future__ import annotations
 
-from .hesselink import EpsilonTaggedType, SymplecticType, alpha_of
+from functools import lru_cache
+
+from .hesselink import EpsilonTaggedType, SymplecticType, _tag, alpha_of
 from .jordan import (
     JordanType,
     Value,
@@ -66,47 +68,33 @@ def _subquotient_multiplicities(lam: dict[int, int], n: int, alpha: int) -> dict
 
     The subquotient removes one block when the distinguished fixed vector
     spans the radical (n odd), otherwise two; which sizes are touched depends
-    on the parity of n / 2^alpha.
+    on the parity of n / 2^alpha.  k blocks of one size go; for n even and
+    alpha > 0, k blocks of size 2^alpha - 1 or 2^alpha - 2 take their place,
+    none when that size is 0.
     """
-    out = dict(lam)
-
-    def take(d, k):
-        have = out.get(d, 0)
-        if have < k:
-            raise RuntimeError(f"cannot remove {k} blocks of size {d} from {lam}")
-        if have == k:
-            del out[d]
-        else:
-            out[d] = have - k
-
-    def add(d, k):
-        out[d] = out.get(d, 0) + k
-
-    if n % 2:
-        take(1, 1)
-    elif alpha == 0:
-        take(1, 2)
+    if n % 2 or alpha == 0:
+        size, k, new = 1, 2 - n % 2, 0
+    elif (n >> alpha) % 2 == 0:
+        size, k, new = 1 << alpha, 2, (1 << alpha) - 1
     else:
-        a = 1 << alpha
-        if (n >> alpha) % 2 == 0:
-            take(a, 2)
-            add(a - 1, 2)
-        elif alpha > 1:
-            take(a, 1)
-            add(a - 2, 1)
-        else:
-            take(2, 1)
+        size, k, new = 1 << alpha, 1, (1 << alpha) - 2
+    have = lam.get(size, 0)
+    if have < k:
+        raise RuntimeError(f"cannot remove {k} blocks of size {size} from {lam}")
+    out = dict(lam)
+    if have == k:
+        del out[size]
+    else:
+        out[size] = have - k
+    if new:
+        out[new] = out.get(new, 0) + k
     return out
 
 
-def _is_halving_case(n: int, alpha: int) -> bool:
-    """True when the subquotient trades a 2^alpha block for a 2^alpha - 2 block."""
-    return n % 2 == 0 and alpha > 1 and (n >> alpha) % 2 == 1
-
-
-def _tag(lam: dict[int, int], tagged_sizes: set[int]) -> tuple[tuple[int, int, int], ...]:
-    """Sorted (size, multiplicity, eps) entries of a multiplicity dict, eps = 1 on tagged_sizes."""
-    return tuple((d, m, 1 if d in tagged_sizes else 0) for d, m in sorted(lam.items()))
+@lru_cache(maxsize=None)
+def _wedge_sizes(d: int) -> frozenset[int]:
+    """The sizes above 1 in the exterior square of one block of size d: the tags of a V(d) summand."""
+    return frozenset([sz for sz, _ in _wedge_block(d) if sz > 1])
 
 
 def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
@@ -115,8 +103,10 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     The Jordan type of the big space is the tensor square of j (every module
     here is self-dual), grown one block size at a time.  A size is tagged
     exactly when it is a power of two larger than one appearing in the
-    consecutive-ones expansion of some block size of j.  The subquotient follows the fixed-vector rules, with the new
-    2^alpha - 2 block forcibly tagged in the halving case.
+    consecutive-ones expansion of some block size of j.  The subquotient
+    follows the fixed-vector rules, with the new 2^alpha - 2 block forcibly
+    tagged in the halving case, where n is even, alpha > 1 and n / 2^alpha
+    is odd.
     """
     n = j.dimension()
     if j.is_empty() or n < 2:
@@ -124,18 +114,18 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     lam = square_multiplicities(grow_tensor_square, j.blocks)
     alpha = gcd_valuation(j.sizes())
     tagged: set[int] = set()
-    for d in j.sizes():
+    for d, _ in j.blocks:
         tagged |= consecutive_ones_powers(d)
-    if not tagged <= set(lam):
+    if not lam.keys() >= tagged:
         raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the tensor square")
 
     lam_sub = _subquotient_multiplicities(lam, n, alpha)
-    tagged_sub = set(tagged)
-    if _is_halving_case(n, alpha):
+    tagged_sub = tagged
+    if n % 2 == 0 and alpha > 1 and (n >> alpha) % 2:
         new_size = (1 << alpha) - 2
         if new_size in tagged:
             raise RuntimeError(f"size {new_size} should not be tagged on the tensor square")
-        tagged_sub.add(new_size)
+        tagged_sub = tagged | {new_size}
 
     full = EpsilonTaggedType(_tag(lam, tagged))
     irr = SymplecticType(_tag(lam_sub, tagged_sub))
@@ -159,38 +149,33 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     if dim < 4:
         raise ValueError(f"need dimension at least 4, got {dim}")
     n = dim // 2
-    w_sizes = [(d, m) for d, m, e in s.entries if e == 0]
-    v_halves = [(d // 2, m) for d, m, e in s.entries if e == 1]
     alpha = alpha_of(s)
     lam = square_multiplicities(grow_wedge_square, [(d, m) for d, m, _ in s.entries])
 
     tagged: set[int] = set()
-    for d, _ in w_sizes:
-        tagged |= consecutive_ones_powers(d)
-    for h, _ in v_halves:
-        tagged |= {sz for sz, _ in _wedge_block(2 * h) if sz > 1}
+    v_halves = []
+    for d, m, e in s.entries:
+        if e:
+            tagged |= _wedge_sizes(d)
+            v_halves.append((d >> 1, m))
+        else:
+            tagged |= consecutive_ones_powers(d)
     for i, (h1, m1) in enumerate(v_halves):
-        for jdx in range(i, len(v_halves)):
-            h2, m2 = v_halves[jdx]
-            if i == jdx and m1 < 2:
-                continue
-            beta = nu2(h1)
-            if beta != nu2(h2):
-                continue
-            odd = unique_odd_block(h1 >> beta, h2 >> beta)
-            tagged.add(odd << (beta + 1))
-    if not tagged <= set(lam):
+        beta = nu2(h1)
+        for h2, _ in v_halves[i + (m1 < 2):]:  # a summand meets itself only when it has two copies
+            if nu2(h2) == beta:
+                tagged.add(unique_odd_block(h1 >> beta, h2 >> beta) << (beta + 1))
+    if not lam.keys() >= tagged:
         raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the wedge square")
 
     lam_sub = _subquotient_multiplicities(lam, n, alpha)
-    if n % 2 or alpha == 0:
-        tagged_sub = set(tagged)
-    else:
+    tagged_sub = tagged
+    if n % 2 == 0 and alpha:
         a = 1 << alpha
         if a not in tagged:
             raise RuntimeError(f"size {a} should always be tagged on the wedge square")
         tagged_sub = set(tagged)
-        if not any(nu2(d) == alpha for d, _ in w_sizes):
+        if not any(nu2(d) == alpha for d, _, e in s.entries if not e):
             tagged_sub.discard(a)
         if alpha > 1:
             if a - 2 in tagged:

@@ -404,11 +404,15 @@ class TestSearch:
         # the pair sweep's lemma rests on this: every piece of a product of two indecomposables
         # has even multiplicity at least 2, and only V x V pieces carry tag 1
         kinds = [("V", d) for d in range(2, 33, 2)] + [("W", d) for d in range(1, 33)]
+        entry = {"V": lambda d: (d, 1, 1), "W": lambda d: (d, 2, 0)}  # one copy of V(d) or of W(d)
         for kind1, d1 in kinds:
             for kind2, d2 in kinds:
                 if d1 * d2 > 64:
                     continue
-                pieces = hesselink._pair_product(kind1, d1, kind2, d2)
+                square, tagged = {}, set()
+                hesselink.grow_bilinear(square, tagged, (entry[kind1](d1),), *entry[kind2](d2))
+                assert tagged <= square.keys()
+                pieces = [(a, m, int(a in tagged)) for a, m in square.items()]
                 dims = (d1 * (1 + (kind1 == "W")), d2 * (1 + (kind2 == "W")))
                 assert sum(a * m for a, m, _ in pieces) == dims[0] * dims[1]
                 for a, m, e in pieces:

@@ -1,7 +1,7 @@
 """Tests for the symplectic class calculus."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sp2forms.hesselink import (
@@ -18,7 +18,7 @@ from sp2forms.hesselink import (
     vtype,
     wtype,
 )
-from sp2forms.jordan import ParseError, induce_power, restrict_power, tensor
+from sp2forms.jordan import ParseError, _tensor_blocks, induce_power, nu2, restrict_power, tensor, unique_odd_block
 
 S = SymplecticType.parse
 E = EpsilonTaggedType.parse
@@ -38,6 +38,63 @@ def _random_symplectic():
 
 
 symplectic_classes = _random_symplectic()
+
+
+def _classes_up_to(max_dim):
+    """Strategy for symplectic classes of dimension at most max_dim, the empty one included.
+
+    Summands V(2d) and W(d), both of dimension 2d, are added when they still fit.
+    """
+    summand = st.tuples(st.booleans(), st.integers(min_value=1, max_value=max_dim // 2))
+
+    def build(parts):
+        pieces, dim = [], 0
+        for tagged, d in parts:
+            if dim + 2 * d <= max_dim:
+                pieces.append(vtype(2 * d) if tagged else wtype(d))
+                dim += 2 * d
+        return orthogonal_sum(*pieces)
+
+    return st.lists(summand, max_size=8).map(build)
+
+
+# The piecewise product: every entry expands into indecomposable summands,
+# each pair of summands gives a list of (size, multiplicity, eps) pieces, and
+# the pieces are merged.  tensor_bilinear must give the same classes.
+
+
+def _reference_summands(s):
+    """Indecomposable summands of a class as ('W'|'V', size, count) triples."""
+    return [("V", d, m) if e else ("W", d, m // 2) for d, m, e in s.entries]
+
+
+def _reference_pair_product(kind1, d1, kind2, d2):
+    """Tagged type of the product of two indecomposables, as (size, mult, eps) pieces."""
+    if kind1 == "V" and kind2 == "V":
+        h1, h2 = d1 // 2, d2 // 2
+        inner = _tensor_blocks(h1, h2)
+        if nu2(h1) != nu2(h2):
+            return [(2 * a, 2 * c, 0) for a, c in inner]
+        alpha = nu2(h1)
+        dj = unique_odd_block(h1 >> alpha, h2 >> alpha) << alpha
+        mult = dict(inner).get(dj, 0)
+        if mult != 1 << alpha:
+            raise RuntimeError(f"tagged block of {d1} x {d2} has multiplicity {mult}")
+        return [(2 * a, 2 * c, int(a == dj)) for a, c in inner]
+    if kind1 == "W" and kind2 == "W":
+        return [(a, 4 * c, 0) for a, c in _tensor_blocks(d1, d2)]
+    return [(a, 2 * c, 0) for a, c in _tensor_blocks(d1, d2)]
+
+
+def reference_tensor_bilinear(s1, s2):
+    acc = {}
+    for kind1, d1, c1 in _reference_summands(s1):
+        for kind2, d2, c2 in _reference_summands(s2):
+            for a, m, e in _reference_pair_product(kind1, d1, kind2, d2):
+                slot = acc.setdefault(a, [0, 0])
+                slot[0] += c1 * c2 * m
+                slot[1] |= e
+    return SymplecticType(tuple((d, m, e) for d, (m, e) in sorted(acc.items())))
 
 
 class TestTypes:
@@ -200,6 +257,18 @@ class TestTensorBilinear:
         left = tensor_bilinear(orthogonal_sum(s1, s2), s3)
         right = orthogonal_sum(tensor_bilinear(s1, s3), tensor_bilinear(s2, s3))
         assert left == right
+
+
+    @given(_classes_up_to(120), _classes_up_to(120))
+    @settings(max_examples=300, deadline=None)
+    @example(SymplecticType(), SymplecticType())
+    @example(SymplecticType(), S("2_1,3_0^2"))
+    @example(S("6_1"), S("10_1"))  # V x V, halves 3 and 5 of equal 2-adic valuation
+    @example(S("12_1"), S("20_1^3"))  # halves 6 and 10, both of valuation 1
+    @example(S("2_1"), S("4_1"))  # halves 1 and 2 of unequal valuation
+    @example(S("1_0^2,4_1,6_0^2,8_1^3"), S("2_1^3,5_0^4,12_1"))
+    def test_agrees_with_the_piecewise_reference(self, s1, s2):
+        assert tensor_bilinear(s1, s2) == reference_tensor_bilinear(s1, s2)
 
 
 class TestRestrictInduce:

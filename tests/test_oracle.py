@@ -456,9 +456,10 @@ class TestWedgeSpace:
         assert w.gram.rank() == 6  # even half-dimension: non-degenerate
 
     def test_degenerate_input_rejected(self):
-        deg = BilinearSpace(Gf2Matrix.identity(4), Gf2Matrix.zero(4, 4))
-        with pytest.raises(ValueError):
-            wedge_space(deg)
+        for rows in ([0, 0, 0, 0], [2, 1, 0, 0]):  # the zero form, and one of rank 2
+            deg = BilinearSpace(Gf2Matrix.identity(4), Gf2Matrix(4, 4, rows))
+            with pytest.raises(ValueError, match="^wedge square form requires a non-degenerate input space$"):
+                wedge_space(deg)
 
     def test_matches_entrywise_reference(self):
         for dim in range(4, 11, 2):

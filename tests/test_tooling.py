@@ -72,6 +72,20 @@ def test_sweep_reports_satisfy_the_benchmark_checks(monkeypatch):
     assert tally.failed == 0, tally.notes
 
 
+def test_query_outputs_match_the_benchmark_digest(monkeypatch):
+    # the seed-0 query stream's outputs, hashed, and the golden tables A and C, byte for byte
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load_perfbench("workloads", monkeypatch)
+    stream = workloads.query_inputs(workloads.DEFAULT_SEED)
+    outcome = workloads._run_queries(stream, [])
+    tally = workloads.Tally()
+    workloads._check_queries(workloads.DEFAULT_SEED, stream, outcome, tally)
+    outputs, tables = outcome.output
+    assert len(outputs) == workloads.N_QUERIES == 10000 and len(tables) == 2
+    assert tally.attempted == 10000 + 3  # the queries, the two tables and the digest
+    assert tally.failed == 0, tally.notes
+
+
 # Modules the command line does not need at start-up; dataclasses alone pulls in inspect, ast, dis and tokenize.
 HEAVY_MODULES = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
 
