@@ -201,7 +201,7 @@ def grow_bilinear(
         k = m1 * m
         if e1 and e:
             h1 = d1 >> 1
-            inner = _tensor_blocks(h1, h)
+            inner = _tensor_blocks(h1, h) if h1 <= h else _tensor_blocks(h, h1)
             alpha = nu2(h1)
             if alpha == nu2(h):
                 dj = unique_odd_block(h1 >> alpha, h >> alpha) << alpha
@@ -213,7 +213,7 @@ def grow_bilinear(
             for a, c in inner:
                 square[2 * a] = get(2 * a, 0) + k * c
         else:
-            for a, c in _tensor_blocks(d1, d):
+            for a, c in _tensor_blocks(d1, d) if d1 <= d else _tensor_blocks(d, d1):
                 square[a] = get(a, 0) + k * c
 
 

@@ -90,7 +90,7 @@ class JordanType(Value):
     @classmethod
     def from_dict(cls, counts: dict[int, int]) -> JordanType:
         """Build a type from a size -> multiplicity mapping, dropping zeros."""
-        return cls(tuple(sorted((d, m) for d, m in counts.items() if m)))
+        return cls(tuple([(d, m) for d, m in sorted(counts.items()) if m]))
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.blocks)
@@ -287,6 +287,8 @@ def consecutive_ones_powers(n: int) -> frozenset[int]:
     return frozenset(p for p in consecutive_ones(n).powers() if p > 1)
 
 
+# Cached per ordered pair; every caller passes the smaller size first, so
+# each unordered pair takes one entry.
 @lru_cache(maxsize=None)
 def _tensor_blocks(m: int, n: int) -> tuple[tuple[int, int], ...]:
     if m > n:
@@ -299,7 +301,7 @@ def _tensor_blocks(m: int, n: int) -> tuple[tuple[int, int], ...]:
         out = dict(_tensor_blocks(q2 - n, q2 - m))
         out[q2] = out.get(q2, 0) + (m + n - q2)
         return tuple(sorted(out.items()))
-    inner = _tensor_blocks(m, q2 - n)
+    inner = _tensor_blocks(m, q2 - n) if m <= q2 - n else _tensor_blocks(q2 - n, m)
     return tuple(sorted((q2 - d, c) for d, c in inner))
 
 
@@ -312,7 +314,7 @@ def tensor_blocks(m: int, n: int) -> JordanType:
     """
     if m < 1 or n < 1:
         raise ValueError(f"block sizes must be positive, got ({m}, {n})")
-    return JordanType(_tensor_blocks(m, n))
+    return JordanType(_tensor_blocks(m, n) if m <= n else _tensor_blocks(n, m))
 
 
 def tensor(j1: JordanType, j2: JordanType) -> JordanType:
@@ -351,7 +353,7 @@ def unique_odd_block(m: int, n: int) -> int:
     """
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError(f"unique_odd_block requires odd block sizes, got ({m}, {n})")
-    odd = [(d, c) for d, c in _tensor_blocks(m, n) if d % 2]
+    odd = [(d, c) for d, c in (_tensor_blocks(m, n) if m <= n else _tensor_blocks(n, m)) if d % 2]
     if len(odd) != 1 or odd[0][1] != 1:
         raise RuntimeError(f"expected exactly one odd block of multiplicity 1 in {m} x {n}, got {odd}")
     return odd[0][0]
@@ -415,7 +417,7 @@ def grow_product(square: dict[int, int], factor: Iterable[tuple[int, int]], d: i
     get = square.get
     for e, c in factor:
         k = c * m
-        for s, t in _tensor_blocks(e, d):
+        for s, t in _tensor_blocks(e, d) if e <= d else _tensor_blocks(d, e):
             square[s] = get(s, 0) + k * t
 
 

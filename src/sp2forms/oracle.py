@@ -9,14 +9,14 @@ functional on the kernel of a power), and subquotients by a fixed vector.
 A matrix keeps its rows as Python ints used as bitsets, plus a column view
 built on first use and then kept.  A matrix applies to a vector as the XOR
 of the columns the vector selects, and products XOR whole rows; the oracle's
-own stages avoid products and work on these views.  One chain of images of
-X = u - 1, X mapping a basis of Im X^k onto one of Im X^(k+1), gives the
-Jordan type, and its dependencies give the kernel layers that the eps tags
-are read from.  Invariance of a form is checked one column of u^T G u at a
-time, and a subquotient is written straight from an explicit basis of the
-perp of its fixed vector.
+own stages avoid products and work on these views, one call per matrix.
+One chain of images of X = u - 1, X mapping a basis of Im X^k onto one of
+Im X^(k+1), gives the Jordan type, and its dependencies give the kernel
+layers that the eps tags are read from.  Invariance of a form is checked on
+the rows of u^T G u, built from the rows of G u, and a subquotient is
+written straight from an explicit basis of the perp of its fixed vector.
 One echelon helper serves rank, kernel and inverse.  Wedge squares are built
-from the columns of u and the rows of the Gram matrix, one x ^ y at a time.
+from the columns of u and the rows of the Gram matrix, all x ^ y at once.
 Dimensions up to a few hundred are cheap.
 """
 
@@ -34,8 +34,9 @@ class Gf2Matrix:
     """Dense matrix over GF(2); row i is an int whose bit j is entry (i, j).
 
     ``cols`` is the column view: column j is an int whose bit i is entry
-    (i, j).  It is built on first use and kept, which is safe because the
-    rows are an immutable tuple.
+    (i, j).  It is built on first use, or lent by the rows once
+    :meth:`is_symmetric` finds them equal, and kept, which is safe because
+    the rows are an immutable tuple.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "_cols")
@@ -111,13 +112,35 @@ class Gf2Matrix:
     def mul(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return Gf2Matrix(self.nrows, other.ncols, (_combine(other.rows, r) for r in self.rows))
+        return Gf2Matrix(self.nrows, other.ncols, _combine(other.rows, self.rows))
 
     def matvec(self, v: int) -> int:
         """Matrix times column vector (vector = int bitset of coordinates)."""
         if v >> self.ncols:
             v &= (1 << self.ncols) - 1
-        return _combine(self.cols, v)
+        return _combine(self.cols, (v,))[0]
+
+    def is_symmetric(self) -> bool:
+        """Whether the matrix equals its transpose; if so, its rows become its column view.
+
+        Each bit (i, j) above the diagonal is looked up at (j, i); the two
+        triangles are then equal exactly when they hold as many bits.
+        """
+        rows = self.rows
+        if self.nrows != self.ncols:
+            return False
+        upper = lower = 0
+        for i, r in enumerate(rows):
+            up = r >> i >> 1
+            upper += up.bit_count()
+            lower += (r & ((1 << i) - 1)).bit_count()
+            while up:
+                if not rows[i + (up & -up).bit_length()] >> i & 1:
+                    return False
+                up &= up - 1
+        if upper == lower:
+            self._cols = rows
+        return upper == lower
 
     def transpose(self) -> Gf2Matrix:
         out = Gf2Matrix(self.ncols, self.nrows, self.cols)
@@ -143,7 +166,7 @@ class Gf2Matrix:
         inv = [0] * self.nrows
         for b in sorted(pivots):
             w, v = pivots[b]
-            inv[b] = v ^ _combine(inv, w ^ (1 << b))
+            inv[b] = v ^ _combine(inv, (w ^ (1 << b),))[0]
         return Gf2Matrix(self.nrows, self.nrows, inv)
 
     def kron(self, other: Gf2Matrix) -> Gf2Matrix:
@@ -160,14 +183,17 @@ class Gf2Matrix:
         return Gf2Matrix(self.nrows * other.nrows, self.ncols * other.ncols, rows)
 
 
-def _combine(vectors, select: int) -> int:
-    """XOR of vectors[j] over the set bits j of select."""
-    acc = 0
-    while select:
-        low = select & -select
-        acc ^= vectors[low.bit_length() - 1]
-        select ^= low
-    return acc
+def _combine(vectors, selects) -> list[int]:
+    """For each select, the XOR of vectors[j] over the set bits j of select."""
+    out = []
+    for select in selects:
+        acc = 0
+        while select:
+            low = select & -select
+            acc ^= vectors[low.bit_length() - 1]
+            select ^= low
+        out.append(acc)
+    return out
 
 
 def _bit_transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
@@ -280,8 +306,9 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
             raise ValueError("matrix is not unipotent: rank profile does not vanish")
         ranks.append(len(pivots))
         layers.append([(t >> n, t & low) for t in dependencies])
-        applied = [_combine(x, w) for w, _ in pivots.values()]
-        tags = [t >> n << n | w for w, t in pivots.values()]
+        basis = pivots.values()
+        applied = _combine(x, [w for w, _ in basis])
+        tags = [t >> n << n | w for w, t in basis]
     return ranks, layers
 
 
@@ -317,15 +344,16 @@ class BilinearSpace(Value):
         n = u.nrows
         if u.ncols != n or gram.nrows != n or gram.ncols != n:
             raise ValueError("operator and Gram matrix must be square of equal size")
-        if gram.rows != gram.cols:
+        if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
         g = gram.rows
-        if any((g[i] >> i) & 1 for i in range(n)):
-            raise ValueError("Gram matrix must have zero diagonal (alternating form)")
-        # column j of u^T G u is u^T G (u e_j); G is symmetric, so its rows are
-        # its columns, and the rows of u are the columns of u^T
-        ut = u.rows
-        if any(_combine(ut, _combine(g, c)) != g[j] for j, c in enumerate(u.cols)):
+        for i, r in enumerate(g):
+            if r >> i & 1:
+                raise ValueError("Gram matrix must have zero diagonal (alternating form)")
+        # row k of G u XORs the rows of u that row k of G selects, and row i of
+        # u^T G u the rows of G u that column i of u selects: G has about half
+        # as many bits per row as u per column, so this walks fewer bits
+        if _combine(_combine(u.rows, g), u.cols) != list(g):
             raise ValueError("form is not invariant under the operator")
 
     @property
@@ -433,21 +461,32 @@ def _pair_offsets(m: int) -> list[int]:
     return [i * m - i * (i + 1) // 2 for i in range(m)]
 
 
-def _wedge(x: int, y: int, offsets: list[int]) -> int:
-    """Coordinates of x ^ y in the e_i ^ e_j basis: x_i y_j + x_j y_i at (i, j).
+def _wedge_pairs(vectors: list[int] | tuple[int, ...]) -> list[int]:
+    """Coordinates of x ^ y in the e_i ^ e_j basis for the pairs x = vectors[a], y = vectors[b], a < b.
 
-    For each i in x or y, the coordinates (i, j > i) form one run of bits,
-    x_i y + y_i x shifted down past bit i.
+    Coordinate (i, j), i < j, is x_i y_j + y_i x_j: for each i in x one run,
+    y shifted down past bit i, and likewise for each i in y.
     """
-    acc = 0
-    both = x | y
-    while both:
-        low = both & -both
-        i = low.bit_length() - 1
-        run = (y if x & low else 0) ^ (x if y & low else 0)
-        acc ^= (run >> (i + 1)) << offsets[i]
-        both ^= low
-    return acc
+    m = len(vectors)
+    offsets = _pair_offsets(m)
+    runs = [[] for _ in vectors]
+    for shifts, x in zip(runs, vectors):
+        while x:
+            i = (x & -x).bit_length()
+            shifts.append((i, offsets[i - 1]))
+            x &= x - 1
+    out = []
+    for a, x in enumerate(vectors):
+        xruns = runs[a]
+        for b in range(a + 1, m):
+            y = vectors[b]
+            acc = 0
+            for i, o in xruns:
+                acc ^= y >> i << o
+            for i, o in runs[b]:
+                acc ^= x >> i << o
+            out.append(acc)
+    return out
 
 
 def wedge_matrix(u: Gf2Matrix) -> Gf2Matrix:
@@ -455,10 +494,7 @@ def wedge_matrix(u: Gf2Matrix) -> Gf2Matrix:
 
     Column (i, j) is the image u e_i ^ u e_j.
     """
-    m = u.nrows
-    offsets = _pair_offsets(m)
-    cols = u.cols
-    images = [_wedge(cols[i], cols[j], offsets) for i in range(m) for j in range(i + 1, m)]
+    images = _wedge_pairs(u.cols)
     return Gf2Matrix.from_columns(len(images), images)
 
 
@@ -487,11 +523,12 @@ def wedge_space(a: BilinearSpace) -> PointedSpace:
     for i in range(m):
         phi ^= (g[i] >> (i + 1)) << offsets[i]
         beta ^= (h[i] >> (i + 1)) << offsets[i]
-    g_rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            row = _wedge(g[i], g[j], offsets)
-            g_rows.append(row ^ phi if (g[i] >> j) & 1 else row)
+    # bit (i, j) of phi is g_ij, so its set bits are the rows that take phi
+    g_rows = _wedge_pairs(g)
+    rest = phi
+    while rest:
+        g_rows[(rest & -rest).bit_length() - 1] ^= phi
+        rest &= rest - 1
     w = len(g_rows)
     return PointedSpace(BilinearSpace(wedge_matrix(a.u), Gf2Matrix(w, w, g_rows)), beta)
 
@@ -533,10 +570,19 @@ def hesselink_of_space(a: BilinearSpace) -> EpsilonTaggedType:
     """
     ranks, layers = _power_chain(a.u)
     g = a.gram.rows
-    return EpsilonTaggedType(tuple(
-        (d, m, int(any((_combine(g, y) & v).bit_count() & 1 for v, y in layers[d])))
-        for d, m in _jordan_from_ranks(ranks).blocks
-    ))
+    entries = []
+    for d, m in _jordan_from_ranks(ranks).blocks:
+        e = 0
+        for v, y in layers[d]:
+            gy = 0
+            while y:
+                gy ^= g[(y & -y).bit_length() - 1]
+                y &= y - 1
+            if (gy & v).bit_count() & 1:
+                e = 1
+                break
+        entries.append((d, m, e))
+    return EpsilonTaggedType(tuple(entries))
 
 
 def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
@@ -569,13 +615,12 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
     if not rest:
         raise RuntimeError("fixed vector should lie in its own perp")
     p = (rest & -rest).bit_length() - 1
-    dropped = sorted({p, q} - {-1}, reverse=True)
-
-    def squeeze(x: int) -> int:
-        for b in dropped:
-            x = (x & ((1 << b) - 1)) | (x >> (b + 1) << b)
-        return x
-
+    # squeezing out bits p and q keeps the bits below both, moves those between
+    # down one and those above both down two; q = -1 drops p alone (mid = 0)
+    lo, hi = sorted((p, q))
+    down = hi - (lo >= 0)
+    keep = (1 << (lo if lo >= 0 else down)) - 1
+    mid, up = ((1 << down) - 1) ^ keep, hi + 1
     ucols, g = a.u.cols, a.gram.rows
     # f = 0 (v in the radical) leaves q = -1 and fq = 0: every f_i and y_q
     # reads 0, so neither ucols[q] nor g[q] is used
@@ -584,8 +629,10 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
         if i == p or i == q:
             continue
         c, y = (ucols[i] ^ ucols[q], g[i] ^ g[q]) if (f >> i) & 1 else (ucols[i], g[i])
-        u_cols.append(squeeze(c ^ v if (c >> p) & 1 else c))
-        g_rows.append(squeeze(y ^ f if y & fq else y))
+        c ^= v if c >> p & 1 else 0
+        y ^= f if y & fq else 0
+        u_cols.append(c & keep | c >> 1 & mid | c >> up << down)
+        g_rows.append(y & keep | y >> 1 & mid | y >> up << down)
     k = len(u_cols)
     return BilinearSpace(Gf2Matrix.from_columns(k, u_cols), Gf2Matrix(k, k, g_rows))
 

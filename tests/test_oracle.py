@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp2forms.enumeration import jordan_types, symplectic_types
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, vtype, wtype
@@ -26,7 +28,9 @@ from sp2forms.oracle import (
     wedge_matrix,
     wedge_space,
     _block_diag,
+    _pair_offsets,
     _power_chain,
+    _wedge_pairs,
 )
 
 J = JordanType.parse
@@ -95,6 +99,51 @@ def _reference_subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
 
 def _same_span(xs, ys, n):
     return len(xs) == len(ys) == Gf2Matrix(len(xs) + len(ys), n, xs + ys).rank()
+
+
+# The checks and the wedge kernel as sp2forms.oracle had them before its walks
+# were batched, kept as references: invariance one column of u^T G u at a
+# time, symmetry against a freshly built transpose, and one x ^ y per call.
+
+
+def _xor_selected(vectors, select):
+    acc = 0
+    while select:
+        low = select & -select
+        acc ^= vectors[low.bit_length() - 1]
+        select ^= low
+    return acc
+
+
+def reference_space_check(u: Gf2Matrix, gram: Gf2Matrix) -> str | None:
+    """The message BilinearSpace(u, gram) should raise, or None when it should accept."""
+    n = u.nrows
+    if u.ncols != n or gram.nrows != n or gram.ncols != n:
+        return "operator and Gram matrix must be square of equal size"
+    g = gram.rows
+    if g != Gf2Matrix(n, n, g).transpose().rows:
+        return "Gram matrix must be symmetric"
+    if any((g[i] >> i) & 1 for i in range(n)):
+        return "Gram matrix must have zero diagonal (alternating form)"
+    # column j of u^T G u is u^T G (u e_j); G is symmetric, so its rows are
+    # its columns, and the rows of u are the columns of u^T
+    ut = u.rows
+    if any(_xor_selected(ut, _xor_selected(g, c)) != g[j] for j, c in enumerate(Gf2Matrix(n, n, ut).cols)):
+        return "form is not invariant under the operator"
+    return None
+
+
+def reference_wedge(x: int, y: int, offsets: list[int]) -> int:
+    """Coordinates of x ^ y in the e_i ^ e_j basis: x_i y_j + x_j y_i at (i, j)."""
+    acc = 0
+    both = x | y
+    while both:
+        low = both & -both
+        i = low.bit_length() - 1
+        run = (y if x & low else 0) ^ (x if y & low else 0)
+        acc ^= (run >> (i + 1)) << offsets[i]
+        both ^= low
+    return acc
 
 
 # Entry-by-entry definitions of the wedge square, kept as the reference for
@@ -278,11 +327,128 @@ class TestBilinearSpaceChecks:
             ([[1, 0], [0, 1]], [[0, 1], [0, 0]], "symmetric"),
             ([[1, 0], [0, 1]], [[1, 1], [1, 0]], "zero diagonal"),
             ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]], "invariant"),
+            # asymmetry is reported before a diagonal bit, wherever the stray bit lies
+            ([[1, 0], [0, 1]], [[1, 1], [0, 0]], "symmetric"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 0, 0], [0, 0, 0]], "symmetric"),
+            # every bit above the diagonal is mirrored, but the lower triangle has one more
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [1, 0, 0]], "symmetric"),
         ],
     )
     def test_rejected(self, u, gram, message):
         with pytest.raises(ValueError, match=message):
             BilinearSpace(Gf2Matrix.from_lists(u), Gf2Matrix.from_lists(gram))
+
+    def test_symmetric_gram_lends_its_rows(self):
+        a = BilinearSpace(build_v(4).u, Gf2Matrix(4, 4, build_v(4).gram.rows))
+        assert a.gram.cols is a.gram.rows
+
+
+def _mirror_upper(rows: list[int]) -> list[int]:
+    """The symmetric matrix with the upper triangle and diagonal of rows."""
+    out = list(rows)
+    for i, r in enumerate(rows):
+        out[i] = r >> i << i
+    for i, r in enumerate(rows):
+        up = r >> (i + 1)
+        while up:
+            j = i + (up & -up).bit_length()
+            out[j] |= 1 << i
+            up &= up - 1
+    return out
+
+
+@st.composite
+def gram_matrices(draw, n):
+    """Square n x n matrices: symmetric or not, zero diagonal or not, maybe with one entry flipped."""
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = _mirror_upper(rows)
+    if draw(st.booleans()):
+        rows = [r & ~(1 << i) for i, r in enumerate(rows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    return Gf2Matrix(n, n, rows)
+
+
+@st.composite
+def operator_gram_pairs(draw):
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        u = Gf2Matrix.identity(n)
+    else:
+        u = Gf2Matrix(n, n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    return u, draw(gram_matrices(n))
+
+
+KNOWN_SPACES = (
+    [space_from_type(S(t)) for t in ("2_1", "4_1", "1_0^2,2_1", "2_0^2,4_1", "2_1^2,6_1")]
+    + [wedge_space(space_from_type(S(t))).space for t in ("4_1", "1_0^2,2_1")]
+    + [dual_tensor_space(unipotent_from_jordan(J(t))).space for t in ("2", "1,2", "3")]
+)
+
+
+def _outcome(u: Gf2Matrix, gram: Gf2Matrix) -> str | None:
+    try:
+        BilinearSpace(u, gram)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestChecksAgreeWithReference:
+    """BilinearSpace accepts and rejects exactly what :func:`reference_space_check` does, with its message."""
+
+    @given(gram_matrices(9) | st.integers(1, 9).flatmap(gram_matrices))
+    @settings(max_examples=200, deadline=None)
+    def test_is_symmetric(self, m):
+        fresh = Gf2Matrix(m.nrows, m.ncols, m.rows)
+        want = fresh.rows == fresh.transpose().rows
+        assert m.is_symmetric() == want
+        # a symmetric matrix lends its rows as its column view, which must then be right
+        assert m.cols == fresh.cols
+
+    def test_is_symmetric_rejects_non_square(self):
+        assert not Gf2Matrix(2, 3, [0, 0]).is_symmetric()
+        assert not Gf2Matrix(3, 2, [0, 0, 0]).is_symmetric()
+
+    @given(operator_gram_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_pairs(self, pair):
+        u, gram = pair
+        want = reference_space_check(u, Gf2Matrix(gram.nrows, gram.ncols, gram.rows))
+        assert _outcome(u, gram) == want
+
+    @given(
+        st.sampled_from(KNOWN_SPACES),
+        st.integers(0, 2**32),
+        st.sampled_from(["none", "pair", "entry"]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_conjugated_spaces_with_a_flip(self, space, seed, flip, data):
+        a = _conjugate(space, _random_invertible(random.Random(seed), space.dim))
+        g = list(a.gram.rows)
+        i = data.draw(st.integers(0, a.dim - 1))
+        j = data.draw(st.integers(0, a.dim - 1))
+        if flip != "none":
+            g[i] ^= 1 << j
+        if flip == "pair" and i != j:
+            g[j] ^= 1 << i
+        gram = Gf2Matrix(a.dim, a.dim, g)
+        want = reference_space_check(a.u, Gf2Matrix(a.dim, a.dim, g))
+        assert _outcome(a.u, gram) == want
+        if flip == "none":
+            assert want is None
+
+
+class TestWedgePairs:
+    @given(st.integers(0, 12).flatmap(lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_pair_by_pair(self, vectors):
+        m = len(vectors)
+        offsets = _pair_offsets(m)
+        want = [reference_wedge(vectors[a], vectors[b], offsets) for a in range(m) for b in range(a + 1, m)]
+        assert _wedge_pairs(vectors) == want
 
 
 class TestInvarianceCheck:

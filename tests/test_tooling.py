@@ -72,6 +72,20 @@ def test_sweep_reports_satisfy_the_benchmark_checks(monkeypatch):
     assert tally.failed == 0, tally.notes
 
 
+def test_oracle_report_satisfies_the_benchmark_checks(monkeypatch):
+    # the oracle workload reads the --json report; a change to CrosscheckReport.to_json or to the instance counts fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load_perfbench("workloads", monkeypatch)
+    outcome = workloads._run_oracle(None, [])
+    rc, report = outcome.output
+    assert rc == 0 and report["ok"]
+    assert (report["symplectic_checked"], report["linear_checked"]) == (117, 65)
+    tally = workloads.Tally()
+    workloads._check_oracle(workloads.DEFAULT_SEED, None, outcome, tally)
+    assert tally.attempted == outcome.items + 4  # every instance, the exit status, ok and the two counts
+    assert tally.failed == 0, tally.notes
+
+
 def test_query_outputs_match_the_benchmark_digest(monkeypatch):
     # the seed-0 query stream's outputs, hashed, and the golden tables A and C, byte for byte
     monkeypatch.syspath_prepend(str(PERFBENCH))
