@@ -123,7 +123,7 @@ class Gf2Matrix:
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose; if so, its rows become its column view.
 
-        Each bit (i, j) above the diagonal is looked up at (j, i); the two
+        Each bit above the diagonal is looked up in its mirror; the two
         triangles are then equal exactly when they hold as many bits.
         """
         rows = self.rows
@@ -347,12 +347,11 @@ class BilinearSpace(Value):
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
         g = gram.rows
-        for i, r in enumerate(g):
-            if r >> i & 1:
-                raise ValueError("Gram matrix must have zero diagonal (alternating form)")
-        # row k of G u XORs the rows of u that row k of G selects, and row i of
-        # u^T G u the rows of G u that column i of u selects: G has about half
-        # as many bits per row as u per column, so this walks fewer bits
+        if any([r >> i & 1 for i, r in enumerate(g)]):
+            raise ValueError("Gram matrix must have zero diagonal (alternating form)")
+        # row k of G u XORs the rows of u that row k of G selects and row i of
+        # u^T G u the rows of G u that column i of u selects: this walks G, about
+        # half as dense as u, where a column at a time walks G u
         if _combine(_combine(u.rows, g), u.cols) != list(g):
             raise ValueError("form is not invariant under the operator")
 
