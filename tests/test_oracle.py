@@ -398,7 +398,7 @@ def _outcome(u: Gf2Matrix, gram: Gf2Matrix) -> str | None:
 class TestChecksAgreeWithReference:
     """BilinearSpace accepts and rejects exactly what :func:`reference_space_check` does, with its message."""
 
-    @given(gram_matrices(9) | st.integers(1, 9).flatmap(gram_matrices))
+    @given(st.integers(1, 9).flatmap(gram_matrices))
     @settings(max_examples=200, deadline=None)
     def test_is_symmetric(self, m):
         fresh = Gf2Matrix(m.nrows, m.ncols, m.rows)
