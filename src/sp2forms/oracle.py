@@ -6,17 +6,16 @@ objects as explicit matrices over the two-element field and recomputes
 Jordan types (rank profiles of powers of u - 1), eps tags (a linear
 functional on the kernel of a power), and subquotients by a fixed vector.
 
-A matrix keeps its rows as Python ints used as bitsets, plus a column view
-built on first use and then kept.  A matrix applies to a vector as the XOR
-of the columns the vector selects, and products XOR whole rows; the oracle's
-own stages avoid products and work on these views, one call per matrix.
-One chain of images of X = u - 1, X mapping a basis of Im X^k onto one of
-Im X^(k+1), gives the Jordan type, and its dependencies give the kernel
-layers that the eps tags are read from.  Invariance of a form is checked on
-the rows of u^T G u, built from the rows of G u, and a subquotient is
-written straight from an explicit basis of the perp of its fixed vector.
-One echelon helper serves rank, kernel and inverse.  Wedge squares are built
-from the columns of u and the rows of the Gram matrix, all x ^ y at once.
+A matrix keeps its rows as Python ints used as bitsets, and a column view
+that each operator's builder writes in the same pass as its rows.  A matrix
+applies to a vector as the XOR of the columns the vector selects, and
+products XOR whole rows; the oracle's own stages avoid products.  One chain
+of images of X = u - 1, eliminated and walked on in one loop, gives the
+Jordan type, and its dependencies give the kernel layers that the eps tags
+are read from.  Invariance of a form is checked on the rows of u^T G u,
+built from the rows of G u; a subquotient is written straight from an
+explicit basis of the perp of its fixed vector, and a wedge square from the
+rows and columns of u and the rows of the Gram matrix, all x ^ y at once.
 Dimensions up to a few hundred are cheap.
 """
 
@@ -34,18 +33,18 @@ class Gf2Matrix:
     """Dense matrix over GF(2); row i is an int whose bit j is entry (i, j).
 
     ``cols`` is the column view: column j is an int whose bit i is entry
-    (i, j).  It is built on first use, or lent by the rows once
-    :meth:`is_symmetric` finds them equal, and kept, which is safe because
-    the rows are an immutable tuple.
+    (i, j).  A builder that writes both views in one pass hands them both to
+    the constructor, which trusts the columns; otherwise they are built on
+    first use, or lent by the rows once :meth:`is_symmetric` finds them equal.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "_cols")
 
-    def __init__(self, nrows: int, ncols: int, rows: Iterable[int]):
+    def __init__(self, nrows: int, ncols: int, rows: Iterable[int], cols: Iterable[int] | None = None):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = tuple(rows)
-        self._cols: tuple[int, ...] | None = None
+        self._cols: tuple[int, ...] | None = None if cols is None else tuple(cols)
         if len(self.rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(self.rows)}")
         if self.rows and (min(self.rows) < 0 or max(self.rows) >> ncols):
@@ -54,28 +53,6 @@ class Gf2Matrix:
     @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
         return cls(n, n, (1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> Gf2Matrix:
-        return cls(nrows, ncols, (0,) * nrows)
-
-    @classmethod
-    def from_lists(cls, entries: list[list[int]]) -> Gf2Matrix:
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            acc = 0
-            for j, x in enumerate(row):
-                if x & 1:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(nrows, ncols, rows)
-
-    @classmethod
-    def from_columns(cls, nrows: int, cols: list[int]) -> Gf2Matrix:
-        """The nrows x len(cols) matrix whose column j is the bitset cols[j]."""
-        return cls(len(cols), nrows, cols).transpose()
 
     @property
     def cols(self) -> tuple[int, ...]:
@@ -143,12 +120,17 @@ class Gf2Matrix:
         return upper == lower
 
     def transpose(self) -> Gf2Matrix:
-        out = Gf2Matrix(self.ncols, self.nrows, self.cols)
-        out._cols = self.rows
-        return out
+        return Gf2Matrix(self.ncols, self.nrows, self.cols, self.rows)
 
     def rank(self) -> int:
-        return len(_echelon(self.rows)[0])
+        """Number of pivots of the rows, eliminated as in :func:`_echelon` but with no tags."""
+        pivots: dict[int, int] = {}
+        for w in self.rows:
+            while w and (b := w.bit_length() - 1) in pivots:
+                w ^= pivots[b]
+            if w:
+                pivots[b] = w
+        return len(pivots)
 
     def kernel_basis(self) -> list[int]:
         """Vectors v with M v = 0, as int bitsets; basis of the kernel."""
@@ -170,17 +152,16 @@ class Gf2Matrix:
         return Gf2Matrix(self.nrows, self.nrows, inv)
 
     def kron(self, other: Gf2Matrix) -> Gf2Matrix:
-        rows = []
-        for ra in self.rows:
-            for rb in other.rows:
-                acc = 0
-                rr = ra
-                while rr:
-                    j = (rr & -rr).bit_length() - 1
-                    acc |= rb << (j * other.ncols)
-                    rr &= rr - 1
-                rows.append(acc)
-        return Gf2Matrix(self.nrows * other.nrows, self.ncols * other.ncols, rows)
+        """A (x) B, entry (i p + k, j q + l) = A_ij B_kl for B p x q; its views are the krons of the views."""
+        rows = _kron_vectors(self.rows, other.rows, other.ncols)
+        cols = _kron_vectors(self.cols, other.cols, other.nrows)
+        return Gf2Matrix(self.nrows * other.nrows, self.ncols * other.ncols, rows, cols)
+
+
+def _kron_vectors(outer, inner, width: int) -> list[int]:
+    """x (x) y for x in outer and y in inner: y << j * width summed over the set bits j of x."""
+    shifts = [[j * width for j in range(x.bit_length()) if x >> j & 1] for x in outer]
+    return [sum(y << s for s in js) for js in shifts for y in inner]
 
 
 def _combine(vectors, selects) -> list[int]:
@@ -208,26 +189,19 @@ def _bit_transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _echelon(
-    vectors: Iterable[int], tags: list[int] | None = None
-) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Gaussian elimination over GF(2) on bitset vectors, taken in order.
+def _echelon(vectors: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gaussian elimination over GF(2) on bitset vectors, taken in order, on the highest bit.
 
-    Each input carries a tag, by default the bitset 1 << i of its index i,
-    and a vector is only ever XORed together with its tag, so every tag is
-    the XOR of the tags of the inputs that make up its vector.  Returns
-    (pivots, dependencies).  pivots maps the highest bit of each reduced
-    independent vector to (reduced vector, tag).  Each input that reduces to
-    zero adds its tag to dependencies; with the default tags these are the
-    bitsets of input indices that XOR to zero, a basis of the linear
-    relations among the inputs.  Pivoting on the highest bit rather than the
-    lowest took about 10% less time in the power chains of the oracle-check
-    spaces to dimension 18 (2-CPU host).
+    Input i carries the tag 1 << i, and a vector is only ever XORed together
+    with its tag, so each tag lists the inputs that make up its vector.
+    Returns (pivots, dependencies): pivots maps the highest bit of each
+    reduced independent vector to (reduced vector, tag), and the tags of the
+    inputs that reduce to zero are a basis of the relations among the inputs.
     """
     pivots: dict[int, tuple[int, int]] = {}
     dependencies = []
     for idx, w in enumerate(vectors):
-        tag = 1 << idx if tags is None else tags[idx]
+        tag = 1 << idx
         while w:
             b = w.bit_length() - 1
             hit = pivots.get(b)
@@ -254,8 +228,8 @@ def matrix_power(m: Gf2Matrix, k: int) -> Gf2Matrix:
 
 
 def jordan_block_matrix(d: int) -> Gf2Matrix:
-    """Single unipotent Jordan block: u e_1 = e_1, u e_i = e_i + e_(i-1)."""
-    return Gf2Matrix(d, d, ((3 << i) & ((1 << d) - 1) for i in range(d)))
+    """Single unipotent Jordan block: u e_1 = e_1, u e_i = e_i + e_(i-1), written by rows and by columns."""
+    return Gf2Matrix(d, d, ((3 << i) & ((1 << d) - 1) for i in range(d)), (3 << i >> 1 for i in range(d)))
 
 
 def unipotent_from_jordan(j: JordanType) -> Gf2Matrix:
@@ -265,13 +239,14 @@ def unipotent_from_jordan(j: JordanType) -> Gf2Matrix:
 
 
 def _block_diag(blocks: list[Gf2Matrix]) -> Gf2Matrix:
-    dim = sum(b.nrows for b in blocks)
-    rows = []
+    """The block-diagonal matrix of square blocks; its columns are theirs, shifted as its rows are."""
+    rows, cols = [], []
     offset = 0
     for b in blocks:
         rows.extend(r << offset for r in b.rows)
+        cols.extend(c << offset for c in b.cols)
         offset += b.ncols
-    return Gf2Matrix(dim, dim, rows)
+    return Gf2Matrix(offset, offset, rows, cols)
 
 
 def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -292,23 +267,41 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
     when they fall to zero, and the chain raises as soon as an elimination
     finds no dependency.  X applied to the unit vector e_j is column j of X,
     which is column j of u with the diagonal bit flipped, so the first
-    elimination takes the columns of X as they are.
+    elimination takes the columns of X as they are.  Each elimination is
+    :func:`_echelon`'s, written out: a pivot never changes once found, so X
+    is walked over it at once.  Pivoting on the highest bit rather than the
+    lowest took 10% off these chains (2-CPU host).
     """
     n = u.nrows
     low = (1 << n) - 1
     x = [c ^ (1 << j) for j, c in enumerate(u.cols)]
-    applied = x
-    tags = [(1 << n | 1) << j for j in range(n)]  # p << n | w, both e_j
+    steps = [(c, (1 << n | 1) << j) for j, c in enumerate(x)]  # (X w, p << n | w), p = w = e_j
     ranks, layers = [n], [[]]
-    while applied:
-        pivots, dependencies = _echelon(applied, tags)
-        if not dependencies:
+    while steps:
+        pivots: dict[int, tuple[int, int]] = {}
+        layer, walked = [], []
+        for w, t in steps:
+            while w:
+                b = w.bit_length() - 1
+                hit = pivots.get(b)
+                if hit is None:
+                    pivots[b] = (w, t)
+                    xw, rest = 0, w
+                    while rest:
+                        bit = rest & -rest
+                        xw ^= x[bit.bit_length() - 1]
+                        rest ^= bit
+                    walked.append((xw, t >> n << n | w))
+                    break
+                w ^= hit[0]
+                t ^= hit[1]
+            else:
+                layer.append((t >> n, t & low))
+        if not layer:
             raise ValueError("matrix is not unipotent: rank profile does not vanish")
-        ranks.append(len(pivots))
-        layers.append([(t >> n, t & low) for t in dependencies])
-        basis = pivots.values()
-        applied = _combine(x, [w for w, _ in basis])
-        tags = [t >> n << n | w for w, t in basis]
+        ranks.append(len(walked))
+        layers.append(layer)
+        steps = walked
     return ranks, layers
 
 
@@ -491,10 +484,11 @@ def _wedge_pairs(vectors: list[int] | tuple[int, ...]) -> list[int]:
 def wedge_matrix(u: Gf2Matrix) -> Gf2Matrix:
     """The operator induced on the wedge square, on the basis e_i ^ e_j (i < j).
 
-    Column (i, j) is the image u e_i ^ u e_j.
+    Column (i, j) is the image u e_i ^ u e_j.  Entry ((k, l), (i, j)) is the
+    minor u_ki u_lj + u_li u_kj, so row (k, l) is the wedge of rows k and l.
     """
-    images = _wedge_pairs(u.cols)
-    return Gf2Matrix.from_columns(len(images), images)
+    cols = _wedge_pairs(u.cols)
+    return Gf2Matrix(len(cols), len(cols), _wedge_pairs(u.rows), cols)
 
 
 def wedge_space(a: BilinearSpace) -> PointedSpace:
@@ -599,15 +593,18 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
     x = x_p v + sum of (x + x_p v)_i k_i.  So the induced operator's column i
     is the coordinate vector of u k_i = u e_i + f_i u e_q, and the induced
     Gram row i lists b(k_i, k_j) = y_j + f_j y_q for the row
-    y = g_i + f_i g_q of G k_i, with the bits p and q squeezed out.
+    y = g_i + f_i g_q of G k_i, with the bits p and q squeezed out.  The
+    operator's row r lists coordinate r of each u k_i, that is
+    (u k_i)_r + (u k_i)_p v_r = z_i + f_i z_q for z = u_r + v_r u_p, where
+    u_r is row r of u: the same correction and squeeze as a Gram row.
     """
     if v == 0:
         raise ValueError("fixed vector must be nonzero")
     if a.u.matvec(v) != v:
         raise ValueError("vector is not fixed by the operator")
-    if a.form(v, v):
-        raise ValueError("vector is not orthogonal to itself")
     f = a.gram.matvec(v)
+    if (f & v).bit_count() & 1:
+        raise ValueError("vector is not orthogonal to itself")
     fq = f & -f
     q = fq.bit_length() - 1
     rest = v & ~fq
@@ -620,20 +617,23 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
     down = hi - (lo >= 0)
     keep = (1 << (lo if lo >= 0 else down)) - 1
     mid, up = ((1 << down) - 1) ^ keep, hi + 1
-    ucols, g = a.u.cols, a.gram.rows
-    # f = 0 (v in the radical) leaves q = -1 and fq = 0: every f_i and y_q
-    # reads 0, so neither ucols[q] nor g[q] is used
-    u_cols, g_rows = [], []
+    urows, ucols, g = a.u.rows, a.u.cols, a.gram.rows
+    # f = 0 (v in the radical) leaves q = -1 and fq = 0: every f_i, y_q and
+    # z_q reads 0, so neither ucols[q] nor g[q] is used
+    u_rows, u_cols, g_rows = [], [], []
     for i in range(a.dim):
         if i == p or i == q:
             continue
         c, y = (ucols[i] ^ ucols[q], g[i] ^ g[q]) if (f >> i) & 1 else (ucols[i], g[i])
+        z = urows[i] ^ urows[p] if v >> i & 1 else urows[i]
         c ^= v if c >> p & 1 else 0
         y ^= f if y & fq else 0
+        z ^= f if z & fq else 0
+        u_rows.append(z & keep | z >> 1 & mid | z >> up << down)
         u_cols.append(c & keep | c >> 1 & mid | c >> up << down)
         g_rows.append(y & keep | y >> 1 & mid | y >> up << down)
     k = len(u_cols)
-    return BilinearSpace(Gf2Matrix.from_columns(k, u_cols), Gf2Matrix(k, k, g_rows))
+    return BilinearSpace(Gf2Matrix(k, k, u_rows, u_cols), Gf2Matrix(k, k, g_rows))
 
 
 def restricted_space(a: BilinearSpace, alpha: int) -> BilinearSpace:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sp2forms.crosscheck import sweep_tasks
 from sp2forms.enumeration import jordan_types, symplectic_types
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, vtype, wtype
 from sp2forms.jordan import JordanType, restrict_power, tensor, wedge_square
@@ -27,6 +28,7 @@ from sp2forms.oracle import (
     unipotent_from_jordan,
     wedge_matrix,
     wedge_space,
+    _bit_transpose,
     _block_diag,
     _pair_offsets,
     _power_chain,
@@ -36,6 +38,17 @@ from sp2forms.oracle import (
 J = JordanType.parse
 S = SymplecticType.parse
 E = EpsilonTaggedType.parse
+
+
+def from_lists(entries: list[list[int]]) -> Gf2Matrix:
+    """The matrix with the given 0/1 entries, row by row."""
+    ncols = len(entries[0]) if entries else 0
+    return Gf2Matrix(len(entries), ncols, (sum(x << j for j, x in enumerate(row)) for row in entries))
+
+
+def from_columns(nrows: int, cols: list[int]) -> Gf2Matrix:
+    """The nrows x len(cols) matrix whose column j is the bitset cols[j]."""
+    return Gf2Matrix(len(cols), nrows, cols).transpose()
 
 
 def direct_sum(a: BilinearSpace, b: BilinearSpace) -> BilinearSpace:
@@ -92,7 +105,7 @@ def _reference_subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
 
     basis = [(1 << i) | (fq if (f >> i) & 1 else 0) for i in range(a.dim) if i not in dropped]
     k = len(basis)
-    u = Gf2Matrix.from_columns(k, [coords(a.u.matvec(b)) for b in basis])
+    u = from_columns(k, [coords(a.u.matvec(b)) for b in basis])
     inclusion = Gf2Matrix(k, a.dim, basis)
     return BilinearSpace(u, inclusion.mul(a.gram).mul(inclusion.transpose()))
 
@@ -254,7 +267,7 @@ class TestGf2Matrix:
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
-            Gf2Matrix.zero(3, 3).inverse()
+            Gf2Matrix(3, 3, [0, 0, 0]).inverse()
 
     def test_kernel(self):
         rng = random.Random(3)
@@ -270,8 +283,8 @@ class TestGf2Matrix:
                 assert probe.rank() == len(basis)
 
     def test_transpose_and_kron(self):
-        a = Gf2Matrix.from_lists([[1, 1], [0, 1]])
-        b = Gf2Matrix.from_lists([[1, 0], [1, 1]])
+        a = from_lists([[1, 1], [0, 1]])
+        b = from_lists([[1, 0], [1, 1]])
         assert a.transpose().transpose() == a
         k = a.kron(b)
         for i in range(2):
@@ -285,7 +298,7 @@ class TestGf2Matrix:
         for nrows, ncols in ((9, 9), (5, 9), (9, 5), (1, 7), (7, 1)):
             m = _random_matrix(rng, nrows, ncols)
             assert m.cols == m.transpose().rows
-            assert Gf2Matrix.from_columns(nrows, m.cols) == m
+            assert from_columns(nrows, m.cols) == m
             for _ in range(10):
                 v = rng.getrandbits(ncols)
                 col = Gf2Matrix(ncols, 1, ((v >> i) & 1 for i in range(ncols)))
@@ -300,7 +313,7 @@ class TestGf2Matrix:
             with pytest.raises(ValueError):
                 Gf2Matrix(2, 3, rows)
         with pytest.raises(ValueError):
-            Gf2Matrix.from_columns(2, [1, 4])
+            from_columns(2, [1, 4])
 
     def test_ascii_grid(self):
         assert jordan_block_matrix(2).ascii_grid() == "11\n01"
@@ -309,10 +322,10 @@ class TestGf2Matrix:
         assert jordan_type_of(Gf2Matrix.identity(3)) == J("1^3")
         assert jordan_type_of(unipotent_from_jordan(J("2,3^2"))) == J("2,3^2")
         # a transposition is unipotent over GF(2): (u - 1)^2 = u^2 - 1 = 0
-        assert jordan_type_of(Gf2Matrix.from_lists([[0, 1], [1, 0]])) == J("2")
+        assert jordan_type_of(from_lists([[0, 1], [1, 0]])) == J("2")
 
     def test_non_unipotent_rejected(self):
-        m = Gf2Matrix.from_lists([[0, 1], [1, 1]])  # order 3, not unipotent
+        m = from_lists([[0, 1], [1, 1]])  # order 3, not unipotent
         with pytest.raises(ValueError):
             jordan_type_of(m)
         # it has determinant 1, so it preserves the hyperbolic plane's form
@@ -336,7 +349,7 @@ class TestBilinearSpaceChecks:
     )
     def test_rejected(self, u, gram, message):
         with pytest.raises(ValueError, match=message):
-            BilinearSpace(Gf2Matrix.from_lists(u), Gf2Matrix.from_lists(gram))
+            BilinearSpace(from_lists(u), from_lists(gram))
 
     def test_symmetric_gram_lends_its_rows(self):
         a = BilinearSpace(build_v(4).u, Gf2Matrix(4, 4, build_v(4).gram.rows))
@@ -713,6 +726,59 @@ class TestSubquotient:
         assert subquotient(sp, gamma).dim == 14  # non-degenerate: two dimensions lost
         sp3, g3 = dual_tensor_space(jordan_block_matrix(3))
         assert subquotient(sp3, g3).dim == 8  # radical case: one dimension lost
+
+
+def _written_views_agree(m: Gf2Matrix) -> bool:
+    """Whether m's builder wrote its column view, and wrote the columns of its rows."""
+    return m._cols is not None and m.cols == _bit_transpose(m.rows, m.ncols)
+
+
+class TestBothViews:
+    """Builders that write an operator's rows and columns in one pass write one matrix.
+
+    A wrong row formula would pass the power chain, which reads columns, and
+    feed the invariance check, which reads rows, an operator that does not
+    exist; so every such operator is compared with the transpose of its rows.
+    """
+
+    def test_oracle_check_operators(self):
+        # every oracle-check 12/8 instance; up to dimension 8 also its input on a
+        # random basis, and the space built from that on a random basis in turn,
+        # so that p, q and a fixed vector in the radical fall in general position
+        rng = random.Random(31)
+        general = radical = 0
+        for kind, arg in sweep_tasks(12, 8):
+            if kind == "sp":
+                a = space_from_type(S(arg))
+                u, built = a.u, [wedge_space(a)]
+                if a.dim <= 8:
+                    built.append(wedge_space(_conjugate(a, _random_invertible(rng, a.dim))))
+            else:
+                u = unipotent_from_jordan(J(arg))
+                built = [dual_tensor_space(u)]
+                if u.nrows <= 8:
+                    p = _random_invertible(rng, u.nrows)
+                    built.append(dual_tensor_space(p.mul(u).mul(p.inverse())))
+            assert _written_views_agree(u), arg
+            assert all(_written_views_agree(space.u) for space, _ in built), arg
+            if len(built) > 1:
+                space, v = built[-1]
+                p = _random_invertible(rng, space.dim)
+                built.append((_conjugate(space, p), p.matvec(v)))
+                general += 1
+                radical += space.gram.matvec(v) == 0
+            for space, v in built:
+                assert _written_views_agree(subquotient(space, v).u), arg
+        # 32 symplectic and 65 linear inputs reach dimension 8; odd n puts the fixed vector in the radical
+        assert general == 97 and radical >= 25
+
+    def test_kron_and_transpose(self):
+        rng = random.Random(37)
+        for shape_a, shape_b in (((3, 5), (4, 2)), ((1, 7), (6, 1)), ((5, 5), (3, 3))):
+            a, b = (_random_matrix(rng, *shape) for shape in (shape_a, shape_b))
+            k = a.kron(b)
+            assert _written_views_agree(k)
+            assert _written_views_agree(k.transpose())
 
 
 class TestJordanOracleEquivalence:

@@ -86,6 +86,24 @@ def test_oracle_report_satisfies_the_benchmark_checks(monkeypatch):
     assert tally.failed == 0, tally.notes
 
 
+def test_oracle_check_transposes_only_small_matrices(monkeypatch):
+    # the wedge, dual tensor and subquotient builders write both views of their operators, so the only
+    # transposes left are of matrices the size of an input (at most 8 x 8 here)
+    from sp2forms import crosscheck, oracle
+
+    heights = []
+    transpose = oracle._bit_transpose
+
+    def counted(rows, width):
+        heights.append(len(rows))
+        return transpose(rows, width)
+
+    monkeypatch.setattr(oracle, "_bit_transpose", counted)
+    assert crosscheck.run_crosscheck(8, 6, 1).ok
+    assert heights  # the inverse transposes of the dual tensors go through the wrapper
+    assert max(heights) <= 8, sorted(heights)
+
+
 def test_query_outputs_match_the_benchmark_digest(monkeypatch):
     # the seed-0 query stream's outputs, hashed, and the golden tables A and C, byte for byte
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -116,11 +116,11 @@ def test_positional_construction_matches_keywords():
      "size 2 has odd multiplicity 1 with eps = 0; odd multiplicity forces eps = 1"),
     (lambda: BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix.identity(3)), ValueError,
      "operator and Gram matrix must be square of equal size"),
-    (lambda: BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix.from_lists([[0, 1], [0, 0]])), ValueError,
+    (lambda: BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix(2, 2, [0b10, 0])), ValueError,
      "Gram matrix must be symmetric"),
     (lambda: BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix.identity(2)), ValueError,
      "Gram matrix must have zero diagonal (alternating form)"),
-    (lambda: BilinearSpace(Gf2Matrix.from_lists([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    (lambda: BilinearSpace(Gf2Matrix(4, 4, [0b11, 0b10, 0b100, 0b1000]),
                            build_w(2).gram), ValueError,
      "form is not invariant under the operator"),
 ])
