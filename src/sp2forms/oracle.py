@@ -159,9 +159,9 @@ class Gf2Matrix:
 
 
 def _kron_vectors(outer, inner, width: int) -> list[int]:
-    """x (x) y for x in outer and y in inner: y << j * width summed over the set bits j of x."""
-    shifts = [[j * width for j in range(x.bit_length()) if x >> j & 1] for x in outer]
-    return [sum(y << s for s in js) for js in shifts for y in inner]
+    """x (x) y for x in outer, y < 2^width in inner: y times the sum of 1 << j * width over bits j of x, carry-free."""
+    spreads = [sum(1 << j * width for j in range(x.bit_length()) if x >> j & 1) for x in outer]
+    return [s * y for s in spreads for y in inner]
 
 
 def _combine(vectors, selects) -> list[int]:
