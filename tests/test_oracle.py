@@ -30,6 +30,8 @@ from sp2forms.oracle import (
     wedge_space,
     _bit_transpose,
     _block_diag,
+    _combine,
+    _echelon,
     _pair_offsets,
     _power_chain,
     _wedge_pairs,
@@ -464,6 +466,45 @@ class TestWedgePairs:
         assert _wedge_pairs(vectors) == want
 
 
+# Widths up to 130 bits, so that vectors cross CPython's 30-bit digits at 30, 60, 90 and 120.
+WIDTHS = st.integers(1, 130)
+
+
+def _random_vectors(seed: int, count: int, width: int) -> list[int]:
+    """count width-bit ints, each dense, a single bit or zero, so that long and short walks both occur."""
+    rng = random.Random(seed)
+    return [rng.choice((rng.getrandbits(width), 1 << rng.randrange(width), 0)) for _ in range(count)]
+
+
+class TestKernelsAcrossDigits:
+    """The top-down bit walks against plain references, on values that span several 30-bit digits."""
+
+    @given(WIDTHS, st.integers(0, 2**32), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_combine_matches_one_select_at_a_time(self, width, seed, data):
+        vectors = _random_vectors(seed, width, 130)
+        drawn = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+        # nothing, bit 0 alone, the top bit alone and every bit, as well as the drawn selects
+        selects = [0, 1, 1 << width - 1, (1 << width) - 1] + drawn
+        assert _combine(vectors, selects) == [_xor_selected(vectors, s) for s in selects]
+
+    @given(WIDTHS, WIDTHS, st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_transpose_matches_entries_and_undoes_itself(self, height, width, seed):
+        rows = tuple(_random_vectors(seed, height, width))
+        cols = _bit_transpose(rows, width)
+        assert cols == tuple(sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(width))
+        assert _bit_transpose(cols, height) == rows
+
+    @given(WIDTHS, st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_echelon_pivots(self, width, height, seed):
+        rows = _random_vectors(seed, height, width)
+        # sums of drawn rows are dependent rows, which rank must find to be no pivots
+        rows += [_xor_selected(rows, c) for c in _random_vectors(seed + 1, height // 2, height)]
+        assert Gf2Matrix(len(rows), width, rows).rank() == len(_echelon(rows)[0])
+
+
 class TestInvarianceCheck:
     """A flipped Gram pair is rejected exactly when u stops preserving the form.
 
@@ -666,10 +707,11 @@ class TestWedgeSpace:
 
 
 class TestPowerChain:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(9))
     def test_matches_matrix_powers_on_conjugated_inputs(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(20, 40)
+        # seeds 6..8 reach the 66 dimensions of the wedge square of dimension 12, the largest in oracle-check 12/8
+        n = rng.randint(20, 40) if seed < 6 else rng.randint(60, 70)
         j = _random_jordan_type(rng, n)
         p = _random_invertible(rng, n)
         u = p.mul(unipotent_from_jordan(j)).mul(p.inverse())
@@ -688,6 +730,13 @@ class TestPowerChain:
             assert _same_span(kernel, xd.kernel_basis(), n)
         assert jordan_type_of(u) == j
 
+    @pytest.mark.parametrize("n", [1, 31, 66])
+    def test_identity_puts_every_vector_in_layer_one(self, n):
+        # X = 0: no step has a pivot, and each unit vector e_j is its own X^0 image
+        ranks, layers = _power_chain(Gf2Matrix.identity(n))
+        assert ranks == [n, 0]
+        assert layers == [[], [(1 << j, 1 << j) for j in range(n)]]
+
 
 class TestSubquotient:
     @staticmethod
@@ -695,9 +744,19 @@ class TestSubquotient:
         rng = random.Random(17)
         pointed = [wedge_space(space_from_type(s)) for dim in range(4, 11, 2) for s in symplectic_types(dim)]
         pointed += [dual_tensor_space(unipotent_from_jordan(j)) for n in range(2, 7) for j in jordan_types(n)]
-        for a, v in pointed[::5]:
+        for a, v in list(pointed):
             p = _random_invertible(rng, a.dim)
             pointed.append((_conjugate(a, p), p.matvec(v)))
+        # subquotient drops entries p and q by position, so the corpus must hold
+        # q below p, q above p, and f = G v = 0 (q = -1), with p and q picked as it picks them
+        cases = Counter()
+        for a, v in pointed:
+            f = a.gram.matvec(v)
+            q = (f & -f).bit_length() - 1
+            rest = v & ~(f & -f)
+            p = (rest & -rest).bit_length() - 1
+            cases["f = 0" if q < 0 else "p < q" if p < q else "p > q"] += 1
+        assert min(cases[case] for case in ("f = 0", "p < q", "p > q")) >= 10, cases
         return pointed
 
     def test_matches_inclusion_reference(self):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import sp2forms
@@ -102,6 +103,30 @@ def test_oracle_check_transposes_only_small_matrices(monkeypatch):
     assert crosscheck.run_crosscheck(8, 6, 1).ok
     assert heights  # the inverse transposes of the dual tensors go through the wrapper
     assert max(heights) <= 8, sorted(heights)
+
+
+def test_oracle_check_validates_every_space_and_runs_every_chain(monkeypatch):
+    # every BilinearSpace runs its checks in __init__, and every tagged type comes from its own power chain;
+    # a speed-up that skipped a validation or a chain would move these counts, pinned at oracle-check 12/8
+    from sp2forms import crosscheck, oracle
+
+    counts = Counter()
+    init, chain = oracle.BilinearSpace.__init__, oracle._power_chain
+
+    def counted_init(self, u, gram):
+        counts["spaces"] += 1
+        init(self, u, gram)
+
+    def counted_chain(u):
+        counts["chains"] += 1
+        return chain(u)
+
+    monkeypatch.setattr(oracle.BilinearSpace, "__init__", counted_init)
+    monkeypatch.setattr(oracle, "_power_chain", counted_chain)
+    oracle.build_v.cache_clear()  # cached V(d) and W(d) would be validated once for the whole session
+    oracle.build_w.cache_clear()
+    assert crosscheck.run_crosscheck(12, 8, 1).ok
+    assert (counts["spaces"], counts["chains"]) == (493, 364)
 
 
 def test_query_outputs_match_the_benchmark_digest(monkeypatch):
