@@ -42,18 +42,21 @@ MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 
 # Caps on the oracle-check bounds, which drive time.  Its cost about doubles
-# for each +2 in symplectic dimension: on a 2-CPU host with --jobs 1,
-# --max-dim 24 (2,256 symplectic classes) took 18 s and --max-n 16 (913
-# Jordan types, dual tensor squares up to dimension 256) 6.4 s, each in
-# about 18 MB (one run each, with the README's oracle-check table).
+# for each +2 in symplectic dimension.  Timed with --jobs 1, two runs each, in
+# one session on a shared 2-CPU Intel Xeon host with Python 3.11.7:
+# --max-dim 24 --max-n 0 (2,256 symplectic classes) took 6.0-7.6 s and
+# --max-dim 0 --max-n 16 (913 Jordan types, dual tensor squares up to
+# dimension 256) 2.0-2.2 s, each in about 18 MB.  Whole runs on that host
+# spread up to 1.8x between sessions of one day.
 ORACLE_MAX_DIM_CAP = 24
 ORACLE_MAX_N_CAP = 16
 
 # Caps on the HI of a table range, which drives time and memory: every row is
-# built in a list before printing.  At the caps, on a 2-CPU host, table A
-# 2..32 takes 3.2 s for 43,787 rows in 26 MB, and table C 2..20 0.2 s for 937
-# rows (4.5 s for 47,047 rows in 27 MB with --all).  Rows grow with the
-# partition counts: table A 2..60 would hold 6.6 million.
+# built in a list before printing.  At the caps, one run each in the session
+# that timed the oracle caps above, table A 2..32 takes 1.3 s for 43,787 rows
+# in 25 MB, and table C 2..20 0.04 s for 937 rows (2.0 s for 47,047 rows in
+# 26 MB with --all).  Rows grow with the partition counts: table A 2..60
+# would hold 6.6 million.
 TABLE_CAPS = {"A": 32, "C": 20}
 
 
