@@ -316,7 +316,7 @@ def _oracle_check_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"largest symplectic dimension to sweep, 0..{ORACLE_MAX_DIM_CAP}")
     parser.add_argument("--max-n", type=_bounded(ORACLE_MAX_N_CAP), default=6,
                         help=f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}")
-    parser.add_argument("--jobs", type=_int_arg, default=None, help="worker processes (default $SP2FORMS_JOBS or 1)")
+    parser.add_argument("--jobs", type=_int_arg, default=1, help="worker processes (default 1)")
     parser.add_argument("--dump-matrices", action="store_true", help="print small constructed matrices as 0/1 grids")
 
 

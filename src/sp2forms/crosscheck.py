@@ -195,24 +195,12 @@ def _clamp_jobs(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def default_jobs() -> int:
-    """Worker count from $SP2FORMS_JOBS, clamped to the CPU count; 1 if unset or not an integer."""
-    env = os.environ.get("SP2FORMS_JOBS")
-    if env:
-        try:
-            return _clamp_jobs(int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int | None = None) -> CrosscheckReport:
+def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int = 1) -> CrosscheckReport:
     """Run both sweeps, optionally over a process pool; order-independent report.
 
-    The worker count, given or from the environment, is clamped to
-    1..os.cpu_count().
+    The worker count is clamped to 1..os.cpu_count().
     """
-    jobs = default_jobs() if jobs is None else _clamp_jobs(jobs)
+    jobs = _clamp_jobs(jobs)
     tasks = sweep_tasks(max_dim, max_n)
     report = CrosscheckReport()
     start = time.perf_counter()

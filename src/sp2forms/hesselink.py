@@ -181,6 +181,16 @@ def _tag(square: dict[int, int], tagged: set[int]) -> tuple[tuple[int, int, int]
     return tuple([(d, m, 1 if d in tagged else 0) for d, m in sorted(square.items())])
 
 
+def v_product_tag(h1: int, h2: int) -> int:
+    """The tagged size of V(2 h1) x V(2 h2), or 0 when it has none.
+
+    When h1 and h2 share the 2-adic valuation a, it is the block of h1 x h2
+    with odd part unique_odd_block(h1 >> a, h2 >> a), doubled in size.
+    """
+    a = nu2(h1)
+    return unique_odd_block(h1 >> a, h2 >> a) << (a + 1) if nu2(h2) == a else 0
+
+
 def grow_bilinear(
     square: dict[int, int], tagged: set[int], factor: Iterable[tuple[int, int, int]], d: int, m: int, e: int
 ) -> None:
@@ -193,7 +203,7 @@ def grow_bilinear(
     m/2 copies of W(a), so a pair of entries adds m1 m copies of d1 x d.  Two
     tagged single blocks V(2h1) x V(2h2) give the blocks of h1 x h2 doubled in
     size and in multiplicity, all untagged except the one size whose halved
-    value shares the 2-adic valuation of both factors.
+    value shares the 2-adic valuation of both factors (:func:`v_product_tag`).
     """
     get = square.get
     h = d >> 1
@@ -202,13 +212,12 @@ def grow_bilinear(
         if e1 and e:
             h1 = d1 >> 1
             inner = _tensor_blocks(h1, h) if h1 <= h else _tensor_blocks(h, h1)
-            alpha = nu2(h1)
-            if alpha == nu2(h):
-                dj = unique_odd_block(h1 >> alpha, h >> alpha) << alpha
-                mult = dict(inner).get(dj, 0)
-                if mult != 1 << alpha:
+            if tag := v_product_tag(h1, h):
+                # tag = 2 dj, and dj has 2^a copies for the shared valuation a
+                mult = dict(inner).get(tag >> 1, 0)
+                if mult != (tag & -tag) >> 1:
                     raise RuntimeError(f"tagged block of {d1} x {d} has multiplicity {mult}")
-                tagged.add(2 * dj)
+                tagged.add(tag)
             k *= 2
             for a, c in inner:
                 square[2 * a] = get(2 * a, 0) + k * c

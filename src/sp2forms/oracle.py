@@ -9,14 +9,15 @@ functional on the kernel of a power), and subquotients by a fixed vector.
 A matrix keeps its rows as Python ints used as bitsets, and a column view
 that each operator's builder writes in the same pass as its rows.  A matrix
 applies to a vector as the XOR of the columns the vector selects, and
-products XOR whole rows; the oracle's own stages avoid products.  One chain
-of images of X = u - 1, eliminated and walked on in one loop, gives the
-Jordan type, and its dependencies give the kernel layers that the eps tags
-are read from.  Invariance of a form is checked on the rows of u^T G u,
-built from the rows of G u; a subquotient is written straight from an
-explicit basis of the perp of its fixed vector, and a wedge square from the
-rows and columns of u and the rows of the Gram matrix, all x ^ y at once.
-Dimensions up to a few hundred are cheap.
+products XOR whole rows; the oracle's own stages avoid products.  One
+elimination gives ranks, kernels and inverses.  One chain of images of
+X = u - 1, eliminated and walked on in one loop, gives the Jordan type, and
+its dependencies give the kernel layers that the eps tags are read from.
+Invariance of a form is checked on the rows of u^T G u, built from the rows
+of G u; a subquotient is written straight from an explicit basis of the
+perp of its fixed vector, and a wedge square from the rows and columns of u
+and the rows of the Gram matrix, all x ^ y at once.  Dimensions up to a
+few hundred are cheap.
 """
 
 from __future__ import annotations
@@ -124,33 +125,27 @@ class Gf2Matrix:
         return Gf2Matrix(self.ncols, self.nrows, self.cols, self.rows)
 
     def rank(self) -> int:
-        """Number of pivots of the rows, eliminated as in :func:`_echelon` but with no tags, in slots by highest bit."""
-        pivots = [0] * self.ncols
-        for w in self.rows:
-            while w and (hit := pivots[b := w.bit_length() - 1]):
-                w ^= hit
-            if w:
-                pivots[b] = w
-        return self.ncols - pivots.count(0)
+        """Number of pivots of the rows, eliminated by :func:`_echelon` with no tags."""
+        return self.ncols - _echelon(self.rows, self.ncols)[0].count(0)
 
     def kernel_basis(self) -> list[int]:
         """Vectors v with M v = 0, as int bitsets; basis of the kernel."""
-        return _echelon(self.cols)[1]
+        return _echelon(self.cols, self.nrows, self.ncols)[1]
 
     def inverse(self) -> Gf2Matrix:
-        if self.nrows != self.ncols:
+        n = self.nrows
+        if n != self.ncols:
             raise ValueError("inverse requires a square matrix")
-        pivots, dependent = _echelon(self.rows)
+        pivots, dependent = _echelon(self.rows, n, n)
         if dependent:
             raise ValueError("matrix is singular")
-        # inv[b] is the row-combination of self equal to e_b, i.e. row b of the
-        # inverse; a pivot vector has bit b highest, so its other bits are
-        # lower pivots, whose rows ascending order has already filled in
-        inv = [0] * self.nrows
-        for b in sorted(pivots):
-            w, v = pivots[b]
-            inv[b] = v ^ _combine(inv, (w ^ (1 << b),))[0]
-        return Gf2Matrix(self.nrows, self.nrows, inv)
+        # pivots[b] is w << n | t, w the sum of the rows t selects, top bit b; row b of
+        # the inverse is t plus its rows for the other bits of w, lower, so filled in
+        low = (1 << n) - 1
+        inv = [0] * n
+        for b, item in enumerate(pivots):
+            inv[b] = item & low ^ _combine(inv, (item >> n ^ 1 << b,))[0]
+        return Gf2Matrix(n, n, inv)
 
     def kron(self, other: Gf2Matrix) -> Gf2Matrix:
         """A (x) B, entry (i p + k, j q + l) = A_ij B_kl for B p x q; its views are the krons of the views."""
@@ -178,41 +173,41 @@ def _combine(vectors, selects) -> list[int]:
     return out
 
 
+def _scatter(vectors: list[int], value: int, select: int) -> None:
+    """XOR value into vectors[b] for each set bit b of select, walked from the top."""
+    while select:
+        b = select.bit_length() - 1
+        vectors[b] ^= value
+        select ^= 1 << b
+
+
 def _bit_transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Columns of the matrix whose rows are the width-bit ints rows: each set bit moves once."""
     cols = [0] * width
     for i, r in enumerate(rows):
-        bit = 1 << i
-        while r:
-            b = r.bit_length() - 1
-            cols[b] |= bit
-            r ^= 1 << b
+        _scatter(cols, 1 << i, r)
     return tuple(cols)
 
 
-def _echelon(vectors: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Gaussian elimination over GF(2) on bitset vectors, taken in order, on the highest bit.
+def _echelon(vectors: Iterable[int], width: int, tags: int = 0) -> tuple[list[int], list[int]]:
+    """Gaussian elimination over GF(2) on width-bit vectors, taken in order, on the highest bit.
 
-    Input i carries the tag 1 << i, and a vector is only ever XORed together
-    with its tag, so each tag lists the inputs that make up its vector.
-    Returns (pivots, dependencies): pivots maps the highest bit of each
-    reduced independent vector to (reduced vector, tag), and the tags of the
+    Input i enters as the item v << tags | 1 << i, its tag below its vector as
+    in [A | I] (tags > 0 must cover every input; tags = 0 takes the vectors
+    bare), and an item is only ever XORed whole, so each tag lists the inputs
+    that make up its vector.  Returns (pivots, dependencies): pivots[b] is the
+    reduced item whose vector has highest bit b, or 0, and the tags of the
     inputs that reduce to zero are a basis of the relations among the inputs.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    pivots = [0] * width
     dependencies = []
-    for idx, w in enumerate(vectors):
-        tag = 1 << idx
-        while w:
-            b = w.bit_length() - 1
-            hit = pivots.get(b)
-            if hit is None:
-                pivots[b] = (w, tag)
-                break
-            w ^= hit[0]
-            tag ^= hit[1]
+    for t in (v << tags | 1 << i for i, v in enumerate(vectors)) if tags else vectors:
+        while (b := t.bit_length() - 1 - tags) >= 0 and (hit := pivots[b]):
+            t ^= hit
+        if b >= 0:
+            pivots[b] = t
         else:
-            dependencies.append(tag)
+            dependencies.append(t)
     return pivots, dependencies
 
 
@@ -269,11 +264,13 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
     finds no dependency.  X applied to the unit vector e_j is column j of X,
     which is column j of u with the diagonal bit flipped, so the first
     elimination takes the columns of X as they are.  Each elimination is
-    :func:`_echelon`'s, written out: a pivot never changes once found, so X
-    is walked over it at once, starting from the column of its highest bit.
-    Pivoting on the highest bit rather than the lowest took 10% off these
-    chains (2-CPU host).  Each level's pivots sit in a list of n slots, slot
-    b holding the pivot whose highest bit is b, or None.
+    :func:`_echelon`'s, fused with the walk of X: a pivot never changes once
+    found, so X is walked over it at once, starting from the column of its
+    highest bit.  It stays fused because a chain that calls :func:`_echelon`
+    on (X w, p, w) items and then walks X took 20-49% longer over the chains
+    of oracle-check 12/8 and 18/10, walking batched or by hand (in-process
+    A/B runs, 2-CPU host).  Pivoting on the highest bit rather than the
+    lowest took 10% off these chains.  Pivots sit in slots by highest bit.
     """
     n = u.nrows
     low = (1 << n) - 1
@@ -377,23 +374,15 @@ def build_v(d: int) -> BilinearSpace:
     The operator is a regular unipotent symplectic element written on a basis
     where the Gram matrix is the anti-diagonal: u e_1 = e_1,
     u e_i = e_i + ... + e_1 for i <= d/2 + 1, and u e_i = e_i + e_(i-1) above.
+    So column j (from 0) is (2 << j) - 1 for j <= d/2 and 3 << j - 1 above,
+    and row r holds bits r..d/2 for r < d/2 and bits r, r + 1 from there on.
     Cached per size, as the space is an immutable value.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"V(d) requires an even positive size, got {d}")
     k = d // 2
-    rows = [0] * d
-    for j in range(d):  # column j = image of e_(j+1)
-        i = j + 1
-        if i == 1:
-            img = [1]
-        elif i <= k + 1:
-            img = list(range(1, i + 1))
-        else:
-            img = [i - 1, i]
-        for b in img:
-            rows[b - 1] |= 1 << j
-    u = Gf2Matrix(d, d, rows)
+    rows = [(2 << k) - (1 << r) if r < k else 3 << r & (1 << d) - 1 for r in range(d)]
+    u = Gf2Matrix(d, d, rows, ((2 << j) - 1 if j <= k else 3 << j - 1 for j in range(d)))
     gram = Gf2Matrix(d, d, (1 << (d - 1 - i) for i in range(d)))
     return BilinearSpace(u, gram)
 
@@ -521,11 +510,7 @@ def wedge_space(a: BilinearSpace) -> PointedSpace:
         beta ^= (h[i] >> (i + 1)) << offsets[i]
     # bit (i, j) of phi is g_ij, so its set bits are the rows that take phi
     g_rows = _wedge_pairs(g)
-    rest = phi
-    while rest:
-        b = rest.bit_length() - 1
-        g_rows[b] ^= phi
-        rest ^= 1 << b
+    _scatter(g_rows, phi, phi)
     w = len(g_rows)
     return PointedSpace(BilinearSpace(wedge_matrix(a.u), Gf2Matrix(w, w, g_rows)), beta)
 
@@ -563,7 +548,9 @@ def hesselink_of_space(a: BilinearSpace) -> EpsilonTaggedType:
     * q is zero on Ker X^(d-1), where X^(d-1) v = 0.
 
     So q vanishes on Ker X^d = Ker X^(d-1) + span(layer d) exactly when it
-    vanishes on the layer's v.
+    vanishes on the layer's v.  The G y walk stays written out, as it stops
+    at the first odd parity: batched through :func:`_combine` it took 4-7%
+    longer on the spaces of oracle-check 12/8 and 18/10 (2-CPU host).
     """
     ranks, layers = _power_chain(a.u)
     g = a.gram.rows
@@ -625,18 +612,10 @@ def subquotient(a: BilinearSpace, v: int) -> BilinearSpace:
     urows, ucols, g = list(a.u.rows), list(a.u.cols), list(a.gram.rows)
     # column q and Gram row q go into the entries that f selects, and row p into
     # the rows that v selects; entries q and p themselves are dropped below.
-    # f = 0 (v in the radical) leaves q = -1 and fq = 0: nothing reads entry q
-    rest = f ^ fq
-    while rest:
-        b = rest.bit_length() - 1
-        ucols[b] ^= ucols[q]
-        g[b] ^= g[q]
-        rest ^= 1 << b
-    rest = v ^ 1 << p
-    while rest:
-        b = rest.bit_length() - 1
-        urows[b] ^= urows[p]
-        rest ^= 1 << b
+    # f = 0 (v in the radical) leaves q = -1 and fq = 0: nothing takes entry q
+    _scatter(ucols, ucols[q], f ^ fq)
+    _scatter(g, g[q], f ^ fq)
+    _scatter(urows, urows[p], v ^ 1 << p)
     for view in (urows, ucols, g):
         del view[hi], view[max(lo, 0):lo + 1]  # lo = q = -1 makes the slice [0:0]
     u_rows = [(z := r ^ f if r & fq else r) & keep | z >> 1 & mid | z >> up << down for r in urows]
@@ -664,14 +643,9 @@ def induced_space(a: BilinearSpace, alpha: int) -> BilinearSpace:
     q = 1 << alpha
     d = a.dim
     dim = q * d
-    rows = [0] * dim
-    for blk in range(q - 1):
-        # block blk maps identically onto block blk + 1
-        for i in range(d):
-            rows[(blk + 1) * d + i] |= 1 << (blk * d + i)
-    for i in range(d):
-        # last block maps into block 0 through the original operator
-        rows[i] |= a.u.rows[i] << ((q - 1) * d)
+    # the last block maps into block 0 through the original operator, and each
+    # other block identically onto the next: row r past block 0 is e_(r - d)
+    rows = [r << (q - 1) * d for r in a.u.rows] + [1 << i for i in range(dim - d)]
     u = Gf2Matrix(dim, dim, rows)
     gram = _block_diag([a.gram] * q)
     return BilinearSpace(u, gram)

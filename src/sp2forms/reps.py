@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .hesselink import EpsilonTaggedType, SymplecticType, _tag, alpha_of
+from .hesselink import EpsilonTaggedType, SymplecticType, _tag, alpha_of, v_product_tag
 from .jordan import (
     JordanType,
     Value,
@@ -27,7 +27,6 @@ from .jordan import (
     grow_wedge_square,
     nu2,
     square_multiplicities,
-    unique_odd_block,
 )
 
 
@@ -161,10 +160,9 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
         else:
             tagged |= consecutive_ones_powers(d)
     for i, (h1, m1) in enumerate(v_halves):
-        beta = nu2(h1)
         for h2, _ in v_halves[i + (m1 < 2):]:  # a summand meets itself only when it has two copies
-            if nu2(h2) == beta:
-                tagged.add(unique_odd_block(h1 >> beta, h2 >> beta) << (beta + 1))
+            if tag := v_product_tag(h1, h2):
+                tagged.add(tag)
     if not lam.keys() >= tagged:
         raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the wedge square")
 

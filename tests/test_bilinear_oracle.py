@@ -2,8 +2,9 @@
 
 Every combinatorial rule on tagged types is recomputed here from explicit
 GF(2) matrices: tensor products on all class pairs with product dimension at
-most 24, restriction (same space, powered operator) and induction (coset
-block construction) on all small classes.
+most 24 and on all pairs of single blocks V(d) or W(d) to product dimension
+128, restriction (same space, powered operator) and induction (coset block
+construction) on all small classes.
 """
 
 import pytest
@@ -15,8 +16,11 @@ from sp2forms.hesselink import (
     restrict_bilinear,
     tensor_bilinear,
     vtype,
+    wtype,
 )
 from sp2forms.oracle import (
+    build_v,
+    build_w,
     hesselink_of_space,
     induced_space,
     restricted_space,
@@ -37,6 +41,17 @@ def test_tensor_bilinear_matches_matrices_up_to_dim_24():
                 assert got == tensor_bilinear(s1, s2), (str(s1), str(s2))
                 checked += 1
     assert checked > 200
+
+
+def test_tensor_bilinear_matches_matrices_on_single_blocks_up_to_dim_128():
+    # V(8) x V(8), of dimension 64, is the smallest pair whose tag needs both
+    # valuations to be at least 2
+    blocks = [(vtype(d), build_v(d)) for d in range(2, 65, 2)] + [(wtype(d), build_w(d)) for d in range(1, 33)]
+    pairs = [(a, b) for i, a in enumerate(blocks) for b in blocks[i:] if a[1].dim * b[1].dim <= 128]
+    assert len(pairs) == 243
+    for (s1, a1), (s2, a2) in pairs:
+        got = hesselink_of_space(tensor_space(a1, a2))
+        assert got == tensor_bilinear(s1, s2), (str(s1), str(s2))
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])

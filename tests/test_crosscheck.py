@@ -11,7 +11,6 @@ from sp2forms import crosscheck
 from sp2forms.crosscheck import (
     check_linear_instance,
     check_symplectic_instance,
-    default_jobs,
     run_crosscheck,
     sweep_tasks,
 )
@@ -72,16 +71,6 @@ def test_parallel_sweep_matches_serial():
     )
 
 
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("SP2FORMS_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("SP2FORMS_JOBS", "bogus")
-    assert default_jobs() == 1
-    monkeypatch.delenv("SP2FORMS_JOBS")
-    assert default_jobs() == 1
-
-
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     # a stand-in pool records the worker count and maps serially, so no
     # process is started whatever count reaches it
@@ -102,15 +91,12 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setenv("SP2FORMS_JOBS", "100000")
-    assert default_jobs() == 2
-    monkeypatch.setenv("SP2FORMS_JOBS", "-5")
-    assert default_jobs() == 1
     assert run_crosscheck(max_dim=4, max_n=2, jobs=100000).ok
     assert run_crosscheck(max_dim=4, max_n=2, jobs=0).ok
-    monkeypatch.setenv("SP2FORMS_JOBS", "100000")
+    assert run_crosscheck(max_dim=4, max_n=2, jobs=-5).ok
+    # the default is one worker, which runs serially
     assert run_crosscheck(max_dim=4, max_n=2).ok
-    assert requested == [2, 2]
+    assert requested == [2]
 
 
 def test_report_json_shape():

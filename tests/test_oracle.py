@@ -31,9 +31,9 @@ from sp2forms.oracle import (
     _bit_transpose,
     _block_diag,
     _combine,
-    _echelon,
     _pair_offsets,
     _power_chain,
+    _scatter,
     _wedge_pairs,
 )
 
@@ -128,6 +128,30 @@ def _xor_selected(vectors, select):
         acc ^= vectors[low.bit_length() - 1]
         select ^= low
     return acc
+
+
+def _reference_echelon(vectors):
+    """The elimination as sp2forms.oracle had it before rank, kernel and inverse shared one kernel.
+
+    Input i carries the tag 1 << i beside its vector; pivots maps the highest
+    bit of each reduced vector to (vector, tag), and the tags of the inputs
+    that reduce to zero are returned as the dependencies.
+    """
+    pivots = {}
+    dependencies = []
+    for idx, w in enumerate(vectors):
+        tag = 1 << idx
+        while w:
+            b = w.bit_length() - 1
+            hit = pivots.get(b)
+            if hit is None:
+                pivots[b] = (w, tag)
+                break
+            w ^= hit[0]
+            tag ^= hit[1]
+        else:
+            dependencies.append(tag)
+    return pivots, dependencies
 
 
 def reference_space_check(u: Gf2Matrix, gram: Gf2Matrix) -> str | None:
@@ -502,7 +526,52 @@ class TestKernelsAcrossDigits:
         rows = _random_vectors(seed, height, width)
         # sums of drawn rows are dependent rows, which rank must find to be no pivots
         rows += [_xor_selected(rows, c) for c in _random_vectors(seed + 1, height // 2, height)]
-        assert Gf2Matrix(len(rows), width, rows).rank() == len(_echelon(rows)[0])
+        assert Gf2Matrix(len(rows), width, rows).rank() == len(_reference_echelon(rows)[0])
+
+    @given(WIDTHS, st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_basis_is_a_basis_of_the_kernel(self, nrows, width, seed):
+        cols = _random_vectors(seed, width, nrows)
+        # columns that are sums of drawn columns put vectors into the kernel
+        cols += [_xor_selected(cols, c) for c in _random_vectors(seed + 1, width // 2, width)]
+        ncols = len(cols)
+        rows = [sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(nrows)]
+        basis = Gf2Matrix(nrows, ncols, rows).kernel_basis()
+        assert len(basis) == ncols - len(_reference_echelon(cols)[0])
+        assert all((r & v).bit_count() % 2 == 0 for v in basis for r in rows)
+        assert not _reference_echelon(basis)[1]
+
+    @given(WIDTHS, st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_undoes_the_matrix_and_refuses_singular_ones(self, n, seed):
+        rng = random.Random(seed)
+        # row operations on a permutation matrix keep it invertible
+        rows = [1 << i for i in rng.sample(range(n), n)]
+        for _ in range(3 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                rows[i] ^= rows[j]
+        inv = Gf2Matrix(n, n, rows).inverse().rows
+        unit = [1 << i for i in range(n)]
+        assert [_xor_selected(inv, r) for r in rows] == unit
+        assert [_xor_selected(rows, r) for r in inv] == unit
+        # a row that is a sum of the others, or zero, makes the matrix singular
+        k = rng.randrange(n)
+        rows[k] = _xor_selected(rows, rng.getrandbits(n) & ~(1 << k))
+        with pytest.raises(ValueError, match="matrix is singular"):
+            Gf2Matrix(n, n, rows).inverse()
+
+    @given(WIDTHS, st.integers(0, 2**32), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_scatter_matches_one_bit_at_a_time(self, width, seed, data):
+        vectors = _random_vectors(seed, width, 130)
+        value = data.draw(st.integers(0, (1 << 130) - 1))
+        # nothing, bit 0 alone, the top bit alone, every bit, or a drawn select
+        edges = st.sampled_from([0, 1, 1 << width - 1, (1 << width) - 1])
+        select = data.draw(st.one_of(edges, st.integers(0, (1 << width) - 1)))
+        expected = [v ^ value if select >> b & 1 else v for b, v in enumerate(vectors)]
+        _scatter(vectors, value, select)
+        assert vectors == expected
 
 
 class TestInvarianceCheck:

@@ -163,6 +163,13 @@ def test_cli_import_loads_no_heavy_modules():
     assert not [name for name in HEAVY_MODULES if name in loaded], loaded
 
 
+def test_suite_and_its_children_write_no_bytecode():
+    # tests/conftest.py sets both, so that no test leaves a __pycache__ in the package
+    code = "import sys; print(sys.dont_write_bytecode)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert sys.dont_write_bytecode and done.stdout.strip() == "True"
+
+
 def test_library_import_compiles_no_regex():
     # a regular expression compiled at import would be paid by every run's start-up; the parsers use str methods
     # (json imports re, so the result is printed without it)
