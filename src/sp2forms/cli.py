@@ -263,11 +263,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.dump_matrices and args.json:  # the grids would come before the JSON document
+        print("error: --dump-matrices cannot be combined with --json", file=sys.stderr)
+        return 2
     report = run_crosscheck(max_dim=args.max_dim, max_n=args.max_n, jobs=args.jobs)
     if args.dump_matrices:
         from . import oracle
 
-        for s in symplectic_types(min(args.max_dim, 6)):
+        for s in symplectic_types(min(args.max_dim, 6) & ~1):  # the largest even dimension in range
             if s.is_empty():  # dimension 0 has no matrices
                 continue
             space = oracle.space_from_type(s)
@@ -317,7 +320,9 @@ def _oracle_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-n", type=_bounded(ORACLE_MAX_N_CAP), default=6,
                         help=f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}")
     parser.add_argument("--jobs", type=_int_arg, default=1, help="worker processes (default 1)")
-    parser.add_argument("--dump-matrices", action="store_true", help="print small constructed matrices as 0/1 grids")
+    parser.add_argument("--dump-matrices", action="store_true",
+                        help="print the matrices of every class of the largest even dimension up to "
+                        "min(--max-dim, 6) as 0/1 grids; not with --json")
 
 
 def _distinguished_arguments(parser: argparse.ArgumentParser) -> None:

@@ -171,11 +171,19 @@ def check_linear_instance(
 
 
 def _run_one(task: tuple[str, str]) -> tuple[tuple[str, list[str], list[str]], dict[str, float]]:
-    """One instance's result and its stage times, which a worker process sends back with it."""
+    """One instance's result and its stage times, which a worker process sends back with it.
+
+    An exception from the rules or the matrices becomes the one mismatch of
+    the instance, with its reproduction command, and the sweep goes on.
+    """
     kind, arg = task
     stage_seconds: dict[str, float] = {}
     check = check_symplectic_instance if kind == "sp" else check_linear_instance
-    return check(arg, stage_seconds), stage_seconds
+    try:
+        return check(arg, stage_seconds), stage_seconds
+    except Exception as exc:
+        label, command = ("wedge", "thmC") if kind == "sp" else ("dual-tensor", "thmA")
+        return (arg, [f"{label}({arg}): raised {type(exc).__name__}: {exc}{repro(command, arg)}"], []), stage_seconds
 
 
 def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:

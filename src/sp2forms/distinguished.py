@@ -22,11 +22,9 @@ from math import isqrt
 from .enumeration import Partition, class_counts, epsilon_variants
 from .hesselink import (
     EpsilonTaggedType,
-    SymplecticConstraintError,
     SymplecticType,
     orthogonal_sum,
     tensor_bilinear,
-    validate_symplectic,
     vtype,
 )
 from .jordan import JordanType, Record, grow_tensor_square, grow_wedge_square
@@ -39,12 +37,10 @@ def is_distinguished(t: EpsilonTaggedType) -> bool:
     """True iff the class consists of tagged even sizes of multiplicity at most two.
 
     Degenerate tagged types (failing the symplectic parity laws) are never
-    distinguished: the element does not even lie in a symplectic group.
+    distinguished, with no separate check of those laws: every size must be
+    tagged, so no size has eps 0 and odd multiplicity, and
+    ``EpsilonTaggedType`` already rejects a tag on an odd size.
     """
-    try:
-        validate_symplectic(t)
-    except SymplecticConstraintError:
-        return False
     return all(d % 2 == 0 and m <= 2 and e == 1 for d, m, e in t.entries)
 
 
@@ -104,12 +100,12 @@ def _within_subquotient_reach(square: Square) -> bool:
     is present, when two sizes have multiplicity above two, when a
     multiplicity exceeds four, or when the one size of multiplicity above
     two is not a power of two.  A distinguished class has even sizes of
-    multiplicity at most two, and the subquotient
-    (``reps._subquotient_multiplicities``) removes at most two blocks, all
-    of size 1 or all of one size 2^alpha, and otherwise only adds blocks;
-    so the square of any input with a distinguished full square or
-    subquotient passes.  Each failure is upward-closed: it stays a failure
-    when multiplicities grow or sizes are added.
+    multiplicity at most two, and the subquotient (``reps._subquotient``)
+    removes at most two blocks, all of size 1 or all of one size 2^alpha,
+    and otherwise only adds blocks; so the square of any input with a
+    distinguished full square or subquotient passes.  Each failure is
+    upward-closed: it stays a failure when multiplicities grow or sizes are
+    added.
     """
     over = 0
     for d, m in square.items():

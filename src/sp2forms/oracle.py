@@ -436,7 +436,8 @@ def dual_tensor_space(u: Gf2Matrix) -> PointedSpace:
     big_u = u.kron(u.inverse().transpose())
     swap_rows = [1 << (j * n + i) for i in range(n) for j in range(n)]  # row i * n + j
     psi = sum(1 << (i * n + i) for i in range(n))
-    gram = Gf2Matrix(n * n, n * n, (r ^ (psi if (psi >> p) & 1 else 0) for p, r in enumerate(swap_rows)))
+    _scatter(swap_rows, psi, psi)  # the square of the trace functional: psi into the rows psi selects
+    gram = Gf2Matrix(n * n, n * n, swap_rows)
     return PointedSpace(BilinearSpace(big_u, gram), psi)
 
 

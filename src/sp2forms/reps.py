@@ -30,7 +30,14 @@ from .jordan import (
 )
 
 
-class DualTensorClasses(Value):
+class _SquareClasses(Value):
+    """The tagged types of a square and of its fixed-vector subquotient, with alpha."""
+
+    def to_json(self) -> dict:
+        return {name: value if isinstance(value, int) else value.to_json() for name, value in self.__dict__.items()}
+
+
+class DualTensorClasses(_SquareClasses):
     """Output of the special linear case: tagged types on V (x) V* and its subquotient."""
 
     def __init__(self, tensor_space: EpsilonTaggedType, irreducible: SymplecticType, alpha: int):
@@ -38,15 +45,8 @@ class DualTensorClasses(Value):
         object.__setattr__(self, "irreducible", irreducible)
         object.__setattr__(self, "alpha", alpha)
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "tensor_space": self.tensor_space.to_json(),
-            "irreducible": self.irreducible.to_json(),
-        }
 
-
-class WedgeSquareClasses(Value):
+class WedgeSquareClasses(_SquareClasses):
     """Output of the symplectic case: tagged types on the wedge square and its subquotient."""
 
     def __init__(self, wedge_space: EpsilonTaggedType, irreducible: SymplecticType, alpha: int):
@@ -54,23 +54,24 @@ class WedgeSquareClasses(Value):
         object.__setattr__(self, "irreducible", irreducible)
         object.__setattr__(self, "alpha", alpha)
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "wedge_space": self.wedge_space.to_json(),
-            "irreducible": self.irreducible.to_json(),
-        }
 
+def _subquotient(
+    lam: dict[int, int], tagged: set[int], n: int, alpha: int, square: str
+) -> tuple[dict[int, int], set[int]]:
+    """Jordan multiplicities and tagged sizes of the fixed-vector subquotient of a square.
 
-def _subquotient_multiplicities(lam: dict[int, int], n: int, alpha: int) -> dict[int, int]:
-    """Jordan multiplicities of the fixed-vector subquotient.
-
-    The subquotient removes one block when the distinguished fixed vector
-    spans the radical (n odd), otherwise two; which sizes are touched depends
-    on the parity of n / 2^alpha.  k blocks of one size go; for n even and
-    alpha > 0, k blocks of size 2^alpha - 1 or 2^alpha - 2 take their place,
-    none when that size is 0.
+    lam and tagged are the square's; square ("tensor" or "wedge") names it
+    in the errors.  The subquotient removes one block when the distinguished
+    fixed vector spans the radical (n odd), otherwise two; which sizes are
+    touched depends on the parity of n / 2^alpha.  k blocks of one size go;
+    for n even and alpha > 0, k blocks of size 2^alpha - 1 or 2^alpha - 2
+    take their place, none when that size is 0.  For n even and alpha > 1,
+    2^alpha - 2 is never tagged on the square; in the halving case, where
+    n / 2^alpha is odd, its new block is tagged on the subquotient.  The
+    other tags are kept, in a new set.
     """
+    if not lam.keys() >= tagged:
+        raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the {square} square")
     if n % 2 or alpha == 0:
         size, k, new = 1, 2 - n % 2, 0
     elif (n >> alpha) % 2 == 0:
@@ -87,7 +88,13 @@ def _subquotient_multiplicities(lam: dict[int, int], n: int, alpha: int) -> dict
         out[size] = have - k
     if new:
         out[new] = out.get(new, 0) + k
-    return out
+    tagged_sub = set(tagged)
+    if size > 2:  # n even and alpha > 1
+        if size - 2 in tagged:
+            raise RuntimeError(f"size {size - 2} should not be tagged on the {square} square")
+        if k == 1:  # the halving case
+            tagged_sub.add(new)
+    return out, tagged_sub
 
 
 @lru_cache(maxsize=None)
@@ -103,29 +110,17 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     here is self-dual), grown one block size at a time.  A size is tagged
     exactly when it is a power of two larger than one appearing in the
     consecutive-ones expansion of some block size of j.  The subquotient
-    follows the fixed-vector rules, with the new 2^alpha - 2 block forcibly
-    tagged in the halving case, where n is even, alpha > 1 and n / 2^alpha
-    is odd.
+    follows the fixed-vector rules of :func:`_subquotient`.
     """
     n = j.dimension()
-    if j.is_empty() or n < 2:
+    if n < 2:
         raise ValueError(f"need a non-empty type of dimension at least 2, got dimension {n}")
     lam = square_multiplicities(grow_tensor_square, j.blocks)
     alpha = gcd_valuation(j.sizes())
     tagged: set[int] = set()
     for d, _ in j.blocks:
         tagged |= consecutive_ones_powers(d)
-    if not lam.keys() >= tagged:
-        raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the tensor square")
-
-    lam_sub = _subquotient_multiplicities(lam, n, alpha)
-    tagged_sub = tagged
-    if n % 2 == 0 and alpha > 1 and (n >> alpha) % 2:
-        new_size = (1 << alpha) - 2
-        if new_size in tagged:
-            raise RuntimeError(f"size {new_size} should not be tagged on the tensor square")
-        tagged_sub = tagged | {new_size}
-
+    lam_sub, tagged_sub = _subquotient(lam, tagged, n, alpha, "tensor")
     full = EpsilonTaggedType(_tag(lam, tagged))
     irr = SymplecticType(_tag(lam_sub, tagged_sub))
     return DualTensorClasses(tensor_space=full, irreducible=irr, alpha=alpha)
@@ -139,10 +134,10 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     is grown one block size at a time.  A size of the wedge square is tagged
     when it comes from the consecutive-ones powers of a hyperbolic summand,
     from the wedge of a tagged single-block summand, or from the cross term
-    of two tagged summands sharing a 2-adic valuation.  The subquotient keeps
-    the tags except at 2^alpha, which survives tagged only via a hyperbolic
-    summand of that exact valuation, and at 2^alpha - 2, tagged exactly when
-    n / 2^alpha is odd.
+    of two tagged summands sharing a 2-adic valuation.  The subquotient
+    follows :func:`_subquotient`, except at 2^alpha (n even, alpha > 0):
+    always tagged on the square, it survives tagged only via a hyperbolic
+    summand of that exact valuation.
     """
     dim = s.dimension()
     if dim < 4:
@@ -163,23 +158,14 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
         for h2, _ in v_halves[i + (m1 < 2):]:  # a summand meets itself only when it has two copies
             if tag := v_product_tag(h1, h2):
                 tagged.add(tag)
-    if not lam.keys() >= tagged:
-        raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the wedge square")
 
-    lam_sub = _subquotient_multiplicities(lam, n, alpha)
-    tagged_sub = tagged
+    lam_sub, tagged_sub = _subquotient(lam, tagged, n, alpha, "wedge")
     if n % 2 == 0 and alpha:
         a = 1 << alpha
         if a not in tagged:
             raise RuntimeError(f"size {a} should always be tagged on the wedge square")
-        tagged_sub = set(tagged)
         if not any(nu2(d) == alpha for d, _, e in s.entries if not e):
             tagged_sub.discard(a)
-        if alpha > 1:
-            if a - 2 in tagged:
-                raise RuntimeError(f"size {a - 2} should not be tagged on the wedge square")
-            if (n >> alpha) % 2:
-                tagged_sub.add(a - 2)
 
     full = EpsilonTaggedType(_tag(lam, tagged))
     irr = SymplecticType(_tag(lam_sub, tagged_sub))

@@ -8,7 +8,7 @@ import pytest
 
 from sp2forms import __version__, cli
 from sp2forms.cli import main
-from sp2forms.hesselink import EpsilonTaggedType
+from sp2forms.hesselink import EpsilonTaggedType, SymplecticType
 from sp2forms.jordan import JordanType
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -143,6 +143,20 @@ class TestSweepCommands:
         code, out, _ = run(capsys, "oracle-check", "--max-dim", "0", "--max-n", "2", "--dump-matrices")
         assert code == 0
         assert "PASS" in out and "class" not in out
+
+    @pytest.mark.parametrize("max_dim,dumped", [("5", 4), ("8", 6), ("3", 2)])
+    def test_oracle_check_dumps_the_largest_even_dimension(self, capsys, max_dim, dumped):
+        code, out, _ = run(capsys, "oracle-check", "--max-dim", max_dim, "--max-n", "0", "--dump-matrices")
+        assert code == 0
+        classes = [line[len("class "):-1] for line in out.splitlines() if line.startswith("class ")]
+        assert classes and {SymplecticType.parse(c).dimension() for c in classes} == {dumped}
+
+    def test_oracle_check_dump_rejects_json(self, capsys, monkeypatch):
+        # the grids would precede the JSON document, so the pair is a usage error before any sweep
+        monkeypatch.setattr(cli, "run_crosscheck", lambda **kwargs: pytest.fail("the sweep started"))
+        code, out, err = run(capsys, "oracle-check", "--max-dim", "4", "--max-n", "2", "--json", "--dump-matrices")
+        assert (code, out) == (2, "")
+        assert "--dump-matrices" in err and "--json" in err
 
     @pytest.mark.parametrize(
         "argv", [("--max-dim", "25"), ("--max-n", "17"), ("--max-dim", "-1"), ("--max-n", "-1")]

@@ -150,3 +150,24 @@ def test_mismatch_and_parity_lines_end_with_a_reproduction_command(monkeypatch):
         report.mismatches
     )
     assert "wedge-sub(2_0^2): forced; run: sp2forms thmC 2_0^2" in report.parity_violations
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="only forked workers see the patched rules"))])
+def test_an_instance_that_raises_is_a_mismatch(monkeypatch, jobs):
+    # an exception names its instance in one mismatch line; the sweep goes on and counts it
+    def wedge(s):
+        if str(s) == "4_1":
+            raise RuntimeError("forced")
+        return wedge_square_classes(s)
+
+    monkeypatch.setattr(crosscheck, "wedge_square_classes", wedge)
+    monkeypatch.setattr(crosscheck, "dual_tensor_classes", lambda j: 1 / 0 if str(j) == "3" else dual_tensor_classes(j))
+    report = run_crosscheck(max_dim=6, max_n=4, jobs=jobs)
+    assert (report.symplectic_checked, report.linear_checked) == (sum(1 for k, _ in sweep_tasks(6, 4) if k == "sp"),
+                                                                  sum(1 for k, _ in sweep_tasks(6, 4) if k == "sl"))
+    assert report.mismatches == [
+        "wedge(4_1): raised RuntimeError: forced; run: sp2forms thmC 4_1",
+        "dual-tensor(3): raised ZeroDivisionError: division by zero; run: sp2forms thmA 3",
+    ]
+    assert not report.ok and report.parity_violations == []

@@ -12,7 +12,7 @@ from sp2forms.hesselink import (
     wtype,
 )
 from sp2forms.jordan import JordanType, tensor, wedge_square
-from sp2forms.reps import dual_tensor_classes, wedge_square_classes
+from sp2forms.reps import _subquotient, dual_tensor_classes, wedge_square_classes
 
 from test_hesselink import symplectic_classes
 
@@ -79,6 +79,46 @@ WEDGE_ROWS = [
     ("4_0^4", "2_0^4,4_1^28", "2_0^4,3_0^2,4_1^26", 2),
     ("2_0^8", "1_0^8,2_1^56", "1_0^10,2_1^54", 1),
 ]
+
+
+class TestSubquotientStep:
+    """The fixed-vector step that both engines share, on hand-computed squares."""
+
+    @pytest.mark.parametrize(
+        "lam,tagged,n,alpha,want_lam,want_tagged",
+        [
+            ({1: 3, 4: 2}, {4}, 3, 0, {1: 2, 4: 2}, {4}),  # n odd: one 1-block goes
+            ({1: 2, 3: 2}, set(), 4, 0, {3: 2}, set()),  # alpha 0, n even: two 1-blocks go
+            ({4: 3, 8: 2}, {4, 8}, 8, 2, {3: 2, 4: 1, 8: 2}, {4, 8}),  # n / 2^alpha even: two untagged 3-blocks
+            ({2: 2}, {2}, 2, 1, {2: 1}, {2}),  # halving with alpha 1: one 2-block goes, none is added
+            ({4: 4}, {4}, 4, 2, {2: 1, 4: 3}, {2, 4}),  # halving with alpha 2: a 4-block becomes a tagged 2-block
+            ({2: 1, 8: 5}, {8}, 24, 3, {2: 1, 6: 1, 8: 4}, {6, 8}),  # halving with alpha 3, n / 8 = 3
+        ],
+    )
+    def test_branches(self, lam, tagged, n, alpha, want_lam, want_tagged):
+        before = (dict(lam), set(tagged))
+        assert _subquotient(lam, tagged, n, alpha, "tensor") == (want_lam, want_tagged)
+        assert (lam, tagged) == before  # the caller's square and tags are left alone
+
+    def test_returns_a_new_tag_set(self):
+        tagged = {4}
+        _, tagged_sub = _subquotient({1: 3, 4: 2}, tagged, 3, 0, "wedge")
+        assert tagged_sub == tagged and tagged_sub is not tagged
+
+    @pytest.mark.parametrize(
+        "lam,tagged,n,alpha,square,message",
+        [
+            ({1: 1, 2: 2}, set(), 4, 0, "tensor", "cannot remove 2 blocks of size 1 from {1: 1, 2: 2}"),
+            ({2: 2, 4: 1}, {4}, 8, 2, "wedge", "cannot remove 2 blocks of size 4 from {2: 2, 4: 1}"),
+            ({1: 2}, {4}, 4, 0, "wedge", "tagged sizes {4} missing from the wedge square"),
+            ({2: 1, 4: 4}, {2, 4}, 4, 2, "tensor", "size 2 should not be tagged on the tensor square"),
+            ({2: 1, 4: 4}, {2, 4}, 8, 2, "wedge", "size 2 should not be tagged on the wedge square"),
+        ],
+    )
+    def test_errors(self, lam, tagged, n, alpha, square, message):
+        with pytest.raises(RuntimeError) as exc:
+            _subquotient(lam, tagged, n, alpha, square)
+        assert str(exc.value) == message
 
 
 class TestDualTensorClasses:
