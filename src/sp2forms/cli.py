@@ -33,30 +33,31 @@ from .hesselink import SymplecticType, induce_bilinear, tensor_bilinear
 from .jordan import JordanType, ParseError, consecutive_ones, tensor, wedge_square
 from .reps import dual_tensor_classes, wedge_square_classes
 
+# Every timing below is one run of the command at the caps, all in one session
+# on a shared 2-CPU Intel Xeon host with Python 3.11.7, at commit 8ab7a58.
+# Whole runs on that host spread up to 1.8x between sessions of one day.
+
 # Caps on the distinguished sweep bounds, which drive time and memory.  At the
-# caps, on a 2-CPU host, the wedge sweep takes 0.2 s, each dual-tensor sweep
-# 0.04 s (most of both is the closed class count), and the pair sweep 3.3 s
-# and 62 MB; the pair sweep grows with its hit count, to 16 s and 207 MB at
-# --max-dim 500.
+# caps the command takes 3.4 s and 60 MB: the wedge sweep 0.2 s, each
+# dual-tensor sweep 0.05 s (most of both is the closed class count), and the
+# pair sweep 2.4 s.  The pair sweep grows with its hit count: an earlier
+# session measured 16 s and 207 MB at --max-dim 500.
 MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 
 # Caps on the oracle-check bounds, which drive time.  Its cost about doubles
-# for each +2 in symplectic dimension.  Timed with --jobs 1, two runs each, in
-# one session on a shared 2-CPU Intel Xeon host with Python 3.11.7:
-# --max-dim 24 --max-n 0 (2,256 symplectic classes) took 6.0-7.6 s and
-# --max-dim 0 --max-n 16 (913 Jordan types, dual tensor squares up to
-# dimension 256) 2.0-2.2 s, each in about 18 MB.  Whole runs on that host
-# spread up to 1.8x between sessions of one day.
+# for each +2 in symplectic dimension.  With --jobs 1, --max-dim 24 --max-n 0
+# (2,256 symplectic classes) takes 7.0 s and --max-dim 0 --max-n 16 (913
+# Jordan types, dual tensor squares up to dimension 256) 2.8 s, each in
+# about 18 MB.
 ORACLE_MAX_DIM_CAP = 24
 ORACLE_MAX_N_CAP = 16
 
 # Caps on the HI of a table range, which drives time and memory: every row is
-# built in a list before printing.  At the caps, one run each in the session
-# that timed the oracle caps above, table A 2..32 takes 1.3 s for 43,787 rows
-# in 25 MB, and table C 2..20 0.04 s for 937 rows (2.0 s for 47,047 rows in
-# 26 MB with --all).  Rows grow with the partition counts: table A 2..60
-# would hold 6.6 million.
+# built in a list before printing.  At the caps, table A 2..32 takes 2.7 s for
+# 43,787 rows in 25 MB, and table C 2..20 0.2 s for 937 rows (3.7 s for 47,047
+# rows in 26 MB with --all).  Rows grow with the partition counts: table A
+# 2..60 would hold 6.6 million.
 TABLE_CAPS = {"A": 32, "C": 20}
 
 
