@@ -6,8 +6,12 @@ regeneration with golden-file comparison, the matrix cross-check sweep, and
 the distinguished-class verification sweeps.
 
 Every command is declared once, in ``COMMANDS``: its help line, its handler
-and the function that adds its arguments.  ``main`` builds the parser of the
-invoked command alone, which is all a run needs; the full tree of
+and its arguments, each a name or flag with its ``add_argument`` keywords.
+``main`` reads a command's arguments itself (``read_command``), which is
+all a well-formed run needs, and imports no ``argparse``.  Only when that
+read declines (help, an error, or a form it leaves to argparse, such as an
+abbreviation) does it build the parser of the invoked command alone, so
+every help text, usage line and error is argparse's; the full tree of
 subparsers (``build_parser``) is built from the same table only for the
 command listing, top-level options and errors outside any command.
 
@@ -16,13 +20,14 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .crosscheck import run_crosscheck
 from .distinguished import (
+    raised,
     verify_prop_A_irr,
     verify_prop_A_tensor,
     verify_prop_C,
@@ -150,6 +155,8 @@ def _int_arg(text: str) -> int:
     try:
         return _ascii_int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
@@ -159,6 +166,8 @@ def _bounded(cap: int):
     def integer(text: str) -> int:
         n = _ascii_int(text)
         if not 0 <= n <= cap:
+            import argparse
+
             raise argparse.ArgumentTypeError(f"{n} is outside 0..{cap}")
         return n
 
@@ -177,12 +186,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return n, n
 
 
+class TableError(Exception):
+    """A class rule raised on a row: what it raised, then the command that reproduces it."""
+
+
 def table_a_rows(n_lo: int, n_hi: int) -> list[str]:
-    """Rows for the special linear table, one per non-trivial Jordan type."""
+    """Rows for the special linear table, one per non-trivial Jordan type; TableError if a rule raises."""
     rows = []
     for n in range(max(2, n_lo), n_hi + 1):
         for j in jordan_types(n, include_trivial=False):
-            res = dual_tensor_classes(j)
+            try:
+                res = dual_tensor_classes(j)
+            except Exception as exc:
+                raise TableError(raised(exc, "thmA", j)) from exc
             rows.append(f"{j.pretty()} | {res.tensor_space.pretty()} | {res.irreducible.pretty()}")
     return rows
 
@@ -192,7 +208,7 @@ def table_c_rows(n_lo: int, n_hi: int, show_all: bool = False) -> list[str]:
 
     Mirrors the published selection: every non-trivial class for n <= 3, only
     those with positive 2-adic content (``alpha_of(s) > 0``) for larger n;
-    show_all lifts the restriction.
+    show_all lifts the restriction.  TableError if a rule raises.
 
     The restricted classes of dimension 2n are built by doubling: they are
     exactly ``induce_bilinear(t, 1)`` for t in ``symplectic_types(n)``, in
@@ -217,7 +233,10 @@ def table_c_rows(n_lo: int, n_hi: int, show_all: bool = False) -> list[str]:
         else:
             classes = (induce_bilinear(t, 1) for t in symplectic_types(n))
         for s in classes:
-            res = wedge_square_classes(s)
+            try:
+                res = wedge_square_classes(s)
+            except Exception as exc:
+                raise TableError(raised(exc, "thmC", s)) from exc
             rows.append(f"{s.pretty()} | {res.wedge_space.pretty()} | {res.irreducible.pretty()} | {res.alpha}")
     return rows
 
@@ -241,10 +260,11 @@ def _cmd_table(args) -> int:
             reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot read golden file {args.golden!r}: {reason}", file=sys.stderr)
             return 2
-    if args.which == "A":
-        rows = table_a_rows(lo, hi)
-    else:
-        rows = table_c_rows(lo, hi, show_all=args.all)
+    try:  # every row is built before any is printed
+        rows = table_a_rows(lo, hi) if args.which == "A" else table_c_rows(lo, hi, show_all=args.all)
+    except TableError as exc:
+        print(f"error: table {args.which}: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps({"table": args.which, "rows": rows}))
     else:
@@ -302,66 +322,71 @@ def _cmd_distinguished(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _pair(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("left")
-    parser.add_argument("right")
+# Each argument: (name or flag, add_argument keywords), written once for both
+# readers.  _add_command passes the keywords to argparse; read_command
+# understands only type, choices, default and action="store_true" (help and
+# metavar are for argparse alone).
+_PAIR = (("left", {}), ("right", {}))
+_JSON = ("--json", {"action": "store_true"})
+
+_TABLE_ARGUMENTS = (
+    ("which", {"choices": ("A", "C")}),
+    ("range", {"help": f"N or LO..HI (dimension for A, at most {TABLE_CAPS['A']}; "
+               f"half-dimension for C, at most {TABLE_CAPS['C']})"}),
+    ("--golden", {"metavar": "FILE", "help": "compare against stored rows; exit 1 on mismatch"}),
+    ("--all", {"action": "store_true", "help": "table C: include classes of 2-adic content zero"}),
+)
+
+_ORACLE_CHECK_ARGUMENTS = (
+    ("--max-dim", {"type": _bounded(ORACLE_MAX_DIM_CAP), "default": 8,
+                   "help": f"largest symplectic dimension to sweep, 0..{ORACLE_MAX_DIM_CAP}"}),
+    ("--max-n", {"type": _bounded(ORACLE_MAX_N_CAP), "default": 6,
+                 "help": f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}"}),
+    ("--jobs", {"type": _int_arg, "default": 1, "help": "worker processes (default 1)"}),
+    ("--dump-matrices", {"action": "store_true",
+                         "help": "print the matrices of every class of the largest even dimension up to "
+                         "min(--max-dim, 6) as 0/1 grids; not with --json"}),
+)
+
+_DISTINGUISHED_ARGUMENTS = (
+    ("--max-n", {"type": _bounded(MAX_N_CAP), "default": 12,
+                 "help": f"dimension bound for the single-space sweeps, 0..{MAX_N_CAP}"}),
+    ("--max-dim", {"type": _bounded(MAX_DIM_CAP), "default": 24,
+                   "help": f"product dimension bound for the pair sweep, 0..{MAX_DIM_CAP}"}),
+)
 
 
-def _table_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("which", choices=("A", "C"))
-    parser.add_argument("range", help=f"N or LO..HI (dimension for A, at most {TABLE_CAPS['A']}; "
-                        f"half-dimension for C, at most {TABLE_CAPS['C']})")
-    parser.add_argument("--golden", metavar="FILE", help="compare against stored rows; exit 1 on mismatch")
-    parser.add_argument("--all", action="store_true", help="table C: include classes of 2-adic content zero")
-
-
-def _oracle_check_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-dim", type=_bounded(ORACLE_MAX_DIM_CAP), default=8,
-                        help=f"largest symplectic dimension to sweep, 0..{ORACLE_MAX_DIM_CAP}")
-    parser.add_argument("--max-n", type=_bounded(ORACLE_MAX_N_CAP), default=6,
-                        help=f"largest special linear dimension to sweep, 0..{ORACLE_MAX_N_CAP}")
-    parser.add_argument("--jobs", type=_int_arg, default=1, help="worker processes (default 1)")
-    parser.add_argument("--dump-matrices", action="store_true",
-                        help="print the matrices of every class of the largest even dimension up to "
-                        "min(--max-dim, 6) as 0/1 grids; not with --json")
-
-
-def _distinguished_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-n", type=_bounded(MAX_N_CAP), default=12,
-                        help=f"dimension bound for the single-space sweeps, 0..{MAX_N_CAP}")
-    parser.add_argument("--max-dim", type=_bounded(MAX_DIM_CAP), default=24,
-                        help=f"product dimension bound for the pair sweep, 0..{MAX_DIM_CAP}")
-
-
-# Each command: (help line, handler, function that adds its own arguments).
-# --json and the handler default are added to every command by _add_command.
+# Each command: (help line, handler, its own arguments).  --json and the
+# handler, as fn, are added to every command.
 COMMANDS = {
-    "tensor": ("Jordan type of a tensor product.", _cmd_tensor, _pair),
-    "wedge": ("Jordan type of an exterior square.", _cmd_wedge, lambda p: p.add_argument("type")),
-    "tensor-bilinear": ("Class of a tensor product of symplectic classes.", _cmd_tensor_bilinear, _pair),
+    "tensor": ("Jordan type of a tensor product.", _cmd_tensor, _PAIR),
+    "wedge": ("Jordan type of an exterior square.", _cmd_wedge, (("type", {}),)),
+    "tensor-bilinear": ("Class of a tensor product of symplectic classes.", _cmd_tensor_bilinear, _PAIR),
     "consec-ones": ("Minimal alternating expansion into powers of two.", _cmd_consec_ones,
-                    lambda p: p.add_argument("n", type=_int_arg)),
+                    (("n", {"type": _int_arg}),)),
     "thmA": ("Classes on the dual tensor square and its subquotient.", _cmd_thm_a,
-             lambda p: p.add_argument("type", help="Jordan type of the element, e.g. '5' or '1,2^2'")),
+             (("type", {"help": "Jordan type of the element, e.g. '5' or '1,2^2'"}),)),
     "thmC": ("Classes on the wedge square and its subquotient.", _cmd_thm_c,
-             lambda p: p.add_argument("type", help="symplectic class, e.g. '4_1' or '2_0^2,8_1'")),
-    "table": ("Regenerate a classification table.", _cmd_table, _table_arguments),
-    "oracle-check": ("Matrix cross-check of the combinatorial rules.", _cmd_oracle_check, _oracle_check_arguments),
-    "distinguished": ("Verify the distinguished-class sweeps.", _cmd_distinguished, _distinguished_arguments),
+             (("type", {"help": "symplectic class, e.g. '4_1' or '2_0^2,8_1'"}),)),
+    "table": ("Regenerate a classification table.", _cmd_table, _TABLE_ARGUMENTS),
+    "oracle-check": ("Matrix cross-check of the combinatorial rules.", _cmd_oracle_check, _ORACLE_CHECK_ARGUMENTS),
+    "distinguished": ("Verify the distinguished-class sweeps.", _cmd_distinguished, _DISTINGUISHED_ARGUMENTS),
 }
 
 
 def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give parser the arguments of command name, then --json and the handler as fn."""
-    _, handler, add_arguments = COMMANDS[name]
-    add_arguments(parser)
-    parser.add_argument("--json", action="store_true")
+    _, handler, arguments = COMMANDS[name]
+    for flag, keywords in (*arguments, _JSON):
+        parser.add_argument(flag, **keywords)
     parser.set_defaults(fn=handler)
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full tree: the top-level options and one subparser per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sp2forms",
         description="Jordan types and symplectic class data of unipotent elements in characteristic two.",
@@ -375,20 +400,78 @@ def build_parser() -> argparse.ArgumentParser:
 
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command alone: the tree's subparser for it (same prog, arguments and order)."""
+    import argparse
+
     return _add_command(argparse.ArgumentParser(prog=f"sp2forms {name}"), name)
+
+
+def read_command(name: str, tokens: list[str]) -> dict | None:
+    """The fields command_parser(name) would parse from tokens, or None to leave them to it.
+
+    Reads only what it fully understands: the command's options spelled in
+    full, each but a store_true one followed by a value that does not start
+    with '-', and exactly its positionals, in any order; a repeated option
+    keeps its last value.  It declines everything else, so that argparse
+    prints its own help, usage line or error: -h, --help, an abbreviation,
+    --opt=value, --, any other token starting with '-' (such as a negative
+    number), a missing value, the wrong number of positionals, and a value
+    that fails its type or choices.
+    """
+    _, handler, arguments = COMMANDS[name]
+    declared = dict((*arguments, _JSON))
+    positionals = [flag for flag in declared if flag[0] != "-"]
+    fields = {_dest(flag): keywords.get("default", False if "action" in keywords else None)
+              for flag, keywords in declared.items()}
+    fields["fn"] = handler
+    given, values = [], []  # positional texts; (flag, text or True) of each option, in order
+    rest = iter(tokens)
+    for token in rest:
+        if token[:1] != "-":
+            given.append(token)
+        elif token not in declared:
+            return None
+        elif "action" in declared[token]:  # store_true
+            values.append((token, True))
+        else:
+            text = next(rest, "-")
+            if text[:1] == "-":  # a missing value or one argparse may read otherwise
+                return None
+            values.append((token, text))
+    if len(given) != len(positionals):
+        return None
+    try:
+        for flag, text in (*values, *zip(positionals, given)):
+            keywords = declared[flag]
+            value = keywords["type"](text) if "type" in keywords else text
+            if value not in keywords.get("choices", (value,)):
+                return None
+            fields[_dest(flag)] = value
+    except Exception:  # argparse calls the type again, then reports the error or lets it propagate
+        return None
+    return fields
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores an argument in: 'range' for range, 'max_dim' for --max-dim."""
+    return flag.lstrip("-").replace("-", "_")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Parse argv and run its command.
 
-    When argv starts with a command name, only that command's parser is
-    built, so its help, usage and errors are the tree's.  Everything else
-    builds the full tree: no command, an option before it, an unknown name,
-    and arguments the command leaves over, which only the tree reports
-    (with its own usage line).
+    When argv starts with a command name, read_command reads the rest;
+    only when it declines is that command's parser built, so its help,
+    usage and errors are the tree's.  Everything else builds the full tree:
+    no command, an option before it, an unknown name, and arguments the
+    command leaves over, which only the tree reports (with its own usage
+    line).
     """
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMANDS:
+        fields = read_command(argv[0], argv[1:])
+        if fields is not None:
+            args = SimpleNamespace(**fields)
+            return args.fn(args)
         args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             return args.fn(args)

@@ -17,7 +17,7 @@ import os
 import time
 
 from . import oracle
-from .distinguished import repro
+from .distinguished import raised, repro
 from .enumeration import jordan_types, symplectic_types
 from .hesselink import EpsilonTaggedType, SymplecticType
 from .jordan import JordanType, Record
@@ -183,7 +183,7 @@ def _run_one(task: tuple[str, str]) -> tuple[tuple[str, list[str], list[str]], d
         return check(arg, stage_seconds), stage_seconds
     except Exception as exc:
         label, command = ("wedge", "thmC") if kind == "sp" else ("dual-tensor", "thmA")
-        return (arg, [f"{label}({arg}): raised {type(exc).__name__}: {exc}{repro(command, arg)}"], []), stage_seconds
+        return (arg, [f"{label}({arg}): {raised(exc, command, arg)}"], []), stage_seconds
 
 
 def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:

@@ -90,6 +90,11 @@ def repro(command: str, *args) -> str:
     return "; run: sp2forms " + " ".join([command, *map(str, args)])
 
 
+def raised(exc: Exception, command: str, *args) -> str:
+    """What a rule raised on one input, then the command that reproduces it."""
+    return f"raised {type(exc).__name__}: {exc}{repro(command, *args)}"
+
+
 # --- the pruned search -------------------------------------------------------
 
 
@@ -213,7 +218,11 @@ def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanTy
         for p, _ in leaves:
             j = JordanType(p)
             report.evaluated += 1
-            got = is_distinguished(getattr(dual_tensor_classes(j), part))
+            try:
+                got = is_distinguished(getattr(dual_tensor_classes(j), part))
+            except Exception as exc:
+                report.counterexamples.append(f"{j}: {raised(exc, 'thmA', j)}")
+                continue
             want = j in expected
             if got:
                 seen.add(j)
@@ -294,12 +303,16 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     report.checked = sum(n[a] * n[b] for a in range(2, root + 1, 2) for b in range(a, max_dim // a + 1, 2))
     odd_sums = _distinct_v_sums(max_dim // 2, lambda s: s.entries[0][0] % 4 == 2)
     expected = [(vtype(2), s) for s in sorted(odd_sums, key=SymplecticType.dimension)]
-    pairs = []
+    pairs, failures = [], []
     for s1 in _distinct_v_sums(root, lambda s: True):
         dim1 = s1.dimension()
         def distinguished_product(s2: SymplecticType) -> bool:
             report.evaluated += 1
-            return is_distinguished(tensor_bilinear(s1, s2))
+            try:
+                return is_distinguished(tensor_bilinear(s1, s2))
+            except Exception as exc:  # reported, and nothing is grown from s2
+                failures.append(f"{s1} x {s2}: {raised(exc, 'tensor-bilinear', s1, s2)}")
+                return False
         pairs += [(s1, s2) for s2 in _distinct_v_sums(max_dim // dim1, distinguished_product) if s2.dimension() >= dim1]
     pairs.sort(key=lambda pair: (pair[0].dimension(), pair[1].dimension()))
     wanted, seen = set(expected), set(pairs)
@@ -307,6 +320,7 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     lines += [(pair, "expected distinguished, not seen") for pair in expected if pair not in seen]
     report.hits = [f"{s1} x {s2}" for s1, s2 in pairs]
     report.counterexamples = [f"{s1} x {s2}: {why}{repro('tensor-bilinear', s1, s2)}" for (s1, s2), why in lines]
+    report.counterexamples += failures
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -335,7 +349,11 @@ def verify_prop_C(max_n: int) -> SweepReport:
         for p, _ in leaves[2 * n]:
             for s in epsilon_variants(p):
                 report.evaluated += 1
-                out = wedge_square_classes(s)
+                try:
+                    out = wedge_square_classes(s)
+                except Exception as exc:
+                    report.counterexamples.append(f"{s}: {raised(exc, 'thmC', s)}")
+                    continue
                 for kind, image, expected in (
                     ("wedge", out.wedge_space, expected_wedge),
                     ("irr", out.irreducible, expected_irr),

@@ -1,12 +1,16 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sp2forms import __version__, cli
+from sp2forms import __version__, cli, distinguished
 from sp2forms.cli import main
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType
 from sp2forms.jordan import JordanType
@@ -268,6 +272,8 @@ class TestParserSplit:
         tree = vars(cli.build_parser().parse_args(argv))
         assert tree.pop("command") == argv[0]
         assert vars(cli.command_parser(argv[0]).parse_args(argv[1:])) == tree
+        # the direct read gives the same fields; a negative number is left to argparse
+        assert cli.read_command(argv[0], argv[1:]) == (None if "-3" in argv else tree)
 
     @pytest.mark.parametrize(
         "argv",
@@ -288,10 +294,11 @@ class TestParserSplit:
         assert single[0] == (0 if "-h" in argv else 2)
 
     def test_named_commands_do_not_build_the_tree(self, capsys, monkeypatch):
-        def tree():
-            raise AssertionError("the full parser tree was built")
+        def parser(*args):
+            raise AssertionError("an argparse parser was built")
 
-        monkeypatch.setattr(cli, "build_parser", tree)
+        monkeypatch.setattr(cli, "build_parser", parser)
+        monkeypatch.setattr(cli, "command_parser", parser)
         runs = (
             ["tensor", "3", "5"],
             ["wedge", "2"],
@@ -304,7 +311,13 @@ class TestParserSplit:
             ["distinguished", "--max-n", "4", "--max-dim", "8"],
         )
         assert [argv[0] for argv in runs] == list(cli.COMMANDS)
-        for argv in runs:
+        benchmark = (
+            ["distinguished", "--max-n", "22", "--max-dim", "44", "--json"],
+            ["oracle-check", "--max-dim", "12", "--max-n", "8", "--jobs", "1", "--json"],
+            ["table", "A", "2..7"],
+            ["table", "C", "2..8"],
+        )
+        for argv in runs + benchmark:
             assert main(argv) == 0, argv
 
     def test_no_command(self, capsys):
@@ -373,3 +386,174 @@ class TestTableCaps:
         assert code == 0
         out = " ".join(out.split())
         assert "dimension for A, at most 32; half-dimension for C, at most 20" in out
+
+
+class TestDirectRead:
+    """read_command returns what command_parser would parse, or None to leave the argv to it."""
+
+    def test_declarations_use_only_what_the_direct_read_understands(self):
+        for name, (_, _, arguments) in cli.COMMANDS.items():
+            for flag, keywords in (*arguments, cli._JSON):
+                assert set(keywords) <= {"type", "choices", "default", "action", "help", "metavar"}, (name, flag)
+                assert keywords.get("action", "store_true") == "store_true", (name, flag)
+                assert flag[0] != "-" or flag.startswith("--"), (name, flag)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thmA", "-h"],
+            ["table", "A", "2..3", "--help"],
+            ["distinguished", "--max", "3"],  # an abbreviation
+            ["oracle-check", "--max-dim=4"],
+            ["tensor", "--", "3", "5"],
+            ["consec-ones", "-3"],
+            ["oracle-check", "--jobs"],
+            ["table", "A", "2", "--golden", "--json"],
+            ["oracle-check", "--max-dim", "-1"],
+            ["tensor", "3"],
+            ["tensor", "3", "5", "6"],
+            ["table", "B", "2"],
+            ["consec-ones", "٣"],
+            ["distinguished", "--max-n", "1001"],
+        ],
+    )
+    def test_declines(self, argv):
+        assert cli.read_command(argv[0], argv[1:]) is None
+
+    def test_last_value_of_a_repeated_option(self):
+        fields = cli.read_command("distinguished", ["--max-n", "3", "--json", "--max-n", "4", "--json"])
+        assert fields == {"fn": cli._cmd_distinguished, "max_n": 4, "max_dim": 24, "json": True}
+
+    @given(st.sampled_from(list(cli.COMMANDS)), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_reads_only_what_argparse_parses_alike(self, name, data):
+        # a well-formed argv with up to three tokens replaced, inserted or deleted
+        argv = _well_formed(name, data)
+        tokens = _tokens(name)
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(argv)))
+            edit = data.draw(st.sampled_from(["replace", "insert", "delete"] if at < len(argv) else ["insert"]))
+            if edit == "delete":
+                del argv[at]
+            else:
+                argv[at:at + (edit == "replace")] = [data.draw(tokens)]
+        fields = cli.read_command(name, argv)
+        assert fields is None or fields == _argparse_fields(name, argv), argv
+
+    @given(st.sampled_from(list(cli.COMMANDS)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_every_well_formed_argv(self, name, data):
+        argv = _well_formed(name, data)
+        fields = _argparse_fields(name, argv)
+        assert fields is not None and cli.read_command(name, argv) == fields, argv
+
+
+_TYPE_STRINGS = ["5", "2^2,8", "4_1", "2_0^2,8_1", "1,2^2", "x", ""]
+_VALID = {
+    "n": ["0", "6", "06", "12"],
+    "which": ["A", "C"],
+    "range": ["2..8", "5", "x"],
+    "golden": ["x.txt", "a=b", ""],
+    "max-dim": ["0", "4", "12", "16"],
+    "max-n": ["0", "8", "016"],
+    "jobs": ["1", "2", "0"],
+}
+
+
+def _well_formed(name, data):
+    """Each declared option 0-2 times with a valid value, anywhere; each positional once, in order."""
+    _, _, arguments = cli.COMMANDS[name]
+    units = []
+    for flag, keywords in (*arguments, cli._JSON):
+        values = _VALID.get(flag.lstrip("-"), _TYPE_STRINGS)
+        if flag[0] != "-":
+            units.append([data.draw(st.sampled_from(values))])
+        elif keywords.get("action") == "store_true":
+            units += [[flag]] * data.draw(st.integers(0, 2))
+        else:
+            units += [[flag, data.draw(st.sampled_from(values))] for _ in range(data.draw(st.integers(0, 2)))]
+    positionals = iter([unit for unit in units if unit[0][:1] != "-"])
+    shuffled = data.draw(st.permutations(units))
+    return [token for unit in shuffled for token in (unit if unit[0][:1] == "-" else next(positionals))]
+
+
+def _tokens(name):
+    """Tokens to edit in, each kind equally likely: the command's names, their prefixes, '=' forms, help and
+    '--', integers in and out of range, non-ASCII and signed integers, A/B/C, and type strings."""
+    _, _, arguments = cli.COMMANDS[name]
+    flags = [flag for flag, _ in arguments if flag[0] == "-"] + ["--json", "--max-n", "--golden"]
+    kinds = (
+        flags,
+        [flag[:k] for flag in flags for k in (3, len(flag) - 1)],
+        [f"{flag}={value}" for flag in flags for value in ("4", "x")],
+        ["-h", "--help", "--", "-"],
+        ["0", "4", "8", "12", "24", "25", "401", "1001"],
+        ["٣", "３", "+3", " 3", "-3", "-1"],
+        ["A", "B", "C"],
+        _TYPE_STRINGS + ["2..8", "x.txt"],
+    )
+    return st.one_of(*map(st.sampled_from, kinds))
+
+
+def _argparse_fields(name, argv):
+    """vars() of command_parser(name).parse_args(argv), or None when argparse exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.command_parser(name).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestRuleErrors:
+    """A class rule that raises is reported with the class and the command that reproduces it."""
+
+    @pytest.mark.parametrize("which,rule,bad", [("A", "dual_tensor_classes", "1,2"), ("C", "wedge_square_classes", "2_1,4_1")])
+    def test_table(self, capsys, monkeypatch, which, rule, bad):
+        real = getattr(cli, rule)
+
+        def failing(x):
+            if str(x) == bad:
+                raise RuntimeError("forced")
+            return real(x)
+
+        monkeypatch.setattr(cli, rule, failing)
+        command = "thmA" if which == "A" else "thmC"
+        code, out, err = run(capsys, "table", which, "2..3", "--all")
+        assert (code, out) == (1, "")
+        assert err == f"error: table {which}: raised RuntimeError: forced; run: sp2forms {command} {bad}\n"
+
+    def test_distinguished(self, capsys, monkeypatch):
+        # each sweep reports the raising class as one counterexample and goes on with the rest
+        rules = {
+            "dual_tensor_classes": "1,2",
+            "wedge_square_classes": "2_1,4_1",
+            "tensor_bilinear": "2_1 x 8_1",
+        }
+        for rule, bad in rules.items():
+            real = getattr(distinguished, rule)
+
+            def failing(*xs, real=real, bad=bad):
+                if " x ".join(map(str, xs)) == bad:
+                    raise RuntimeError("forced")
+                return real(*xs)
+
+            monkeypatch.setattr(distinguished, rule, failing)
+        code, out, _ = run(capsys, "distinguished", "--max-n", "6", "--max-dim", "16", "--json")
+        assert code == 1
+        reports = {r["name"]: r for r in json.loads(out)}
+        thm_a = ["1,2: raised RuntimeError: forced; run: sp2forms thmA 1,2"]
+        assert reports["dual-tensor-distinguished"]["counterexamples"] == thm_a
+        assert reports["dual-irreducible-distinguished"]["counterexamples"] == thm_a
+        assert reports["wedge-distinguished"]["counterexamples"] == [
+            "2_1,4_1: raised RuntimeError: forced; run: sp2forms thmC 2_1,4_1"
+        ]
+        assert reports["bilinear-tensor-distinguished"]["counterexamples"] == [
+            "2_1 x 8_1: raised RuntimeError: forced; run: sp2forms tensor-bilinear 2_1 8_1"
+        ]
+        # the other classes were still evaluated: every hit is found
+        assert reports["dual-irreducible-distinguished"]["distinguished_inputs"] == ["2", "3", "5"]
+        assert reports["bilinear-tensor-distinguished"]["distinguished_inputs"] == [
+            "2_1 x 2_1", "2_1 x 6_1", "2_1 x 2_1,6_1"
+        ]
+        assert "irr 12_1" not in reports["wedge-distinguished"]["distinguished_inputs"]
+        assert "irr 2_1,10_1" in reports["wedge-distinguished"]["distinguished_inputs"]

@@ -163,6 +163,25 @@ def test_cli_import_loads_no_heavy_modules():
     assert not [name for name in HEAVY_MODULES if name in loaded], loaded
 
 
+def test_named_command_loads_no_argparse():
+    # main reads a command's arguments itself, so a run loads neither argparse nor gettext, nor the locale
+    # module gettext's first lookup imports; an argv it declines (here a negative number) is parsed by argparse
+    code = (
+        "import json, sys\n"
+        "import sp2forms.cli\n"
+        "sp2forms.cli.main(sys.argv[1:])\n"
+        "loaded = [name for name in ('argparse', 'gettext', 'locale') if name in sys.modules]\n"
+        "print(json.dumps([sp2forms.cli.__file__, loaded]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = {}
+    for argv in (["thmA", "5"], ["consec-ones", "-3"]):
+        done = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True)
+        path, loaded[argv[0]] = json.loads(done.stdout.splitlines()[-1])
+        assert Path(path).resolve() == PACKAGE / "cli.py"
+    assert loaded == {"thmA": [], "consec-ones": ["argparse", "gettext", "locale"]}
+
+
 def test_suite_and_its_children_write_no_bytecode():
     # tests/conftest.py sets both, so that no test leaves a __pycache__ in the package
     code = "import sys; print(sys.dont_write_bytecode)"
