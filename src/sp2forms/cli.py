@@ -26,13 +26,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .crosscheck import run_crosscheck
-from .distinguished import (
-    raised,
-    verify_prop_A_irr,
-    verify_prop_A_tensor,
-    verify_prop_C,
-    verify_prop_tensor,
-)
+from .distinguished import raised, verify_prop_A, verify_prop_C, verify_prop_tensor
 from .enumeration import jordan_types, symplectic_types
 from .hesselink import SymplecticType, induce_bilinear, tensor_bilinear
 from .jordan import JordanType, ParseError, consecutive_ones, tensor, wedge_square
@@ -307,8 +301,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_distinguished(args) -> int:
     reports = [
-        verify_prop_A_tensor(args.max_n),
-        verify_prop_A_irr(args.max_n),
+        *verify_prop_A(args.max_n),
         verify_prop_tensor(args.max_dim),
         verify_prop_C(args.max_n),
     ]

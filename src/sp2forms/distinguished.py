@@ -9,6 +9,7 @@ for the expected short lists of inputs.  They do so with pruned searches
 (:func:`_search`, one search over the partitions of every dimension up to
 the bound, and :func:`_distinct_v_sums` for the pair sweep): a class is
 only handed to the rules engine while its image can still be distinguished.
+Both dual-tensor reports come from one such pass, :func:`verify_prop_A`.
 What a sweep covers, every class or pair in range, is counted in closed
 form by :func:`enumeration.class_counts`.
 """
@@ -202,53 +203,57 @@ def _search(
 # --- the sweeps --------------------------------------------------------------
 
 
-def _dual_tensor_sweep(name: str, max_n: int, part: str, expected: list[JordanType]) -> SweepReport:
-    """Sweep every Jordan type of dimension 2..max_n through dual_tensor_classes.
+def verify_prop_A(max_n: int) -> tuple[SweepReport, SweepReport]:
+    """The dual tensor square is distinguished only for a single 2-block; its simple subquotient only for 2, 3, 5.
 
-    ``part`` names the output class tested: ``tensor_space`` or
-    ``irreducible``.  Both are covered by :func:`_within_subquotient_reach`
-    on the tensor square.  One :func:`_search` to max_n gives the
-    survivors of every dimension, each dimension in table order.
+    Covers every Jordan type of dimension 2..max_n, in one report for the
+    tensor square and one for its subquotient.  Both are covered by
+    :func:`_within_subquotient_reach` on the tensor square, so one
+    :func:`_search` to max_n gives the survivors of every dimension, each
+    dimension in table order, and one :func:`reps.dual_tensor_classes` call
+    per survivor serves both reports (a raise is a line in each).
     """
-    report = SweepReport(name=name)
     start = time.perf_counter()
-    report.checked = sum(class_counts(max_n)[2:])
-    seen = set()
+    checked = sum(class_counts(max_n)[2:])
+    sweeps = [  # (report, expected hits)
+        (SweepReport("dual-tensor-distinguished", checked), [JordanType(((2, 1),))] if max_n >= 2 else []),
+        (SweepReport("dual-irreducible-distinguished", checked),
+         [JordanType(((n, 1),)) for n in (2, 3, 5) if n <= max_n]),
+    ]
     for leaves in _search(max_n, grow_tensor_square)[2:]:
         for p, _ in leaves:
             j = JordanType(p)
-            report.evaluated += 1
             try:
-                got = is_distinguished(getattr(dual_tensor_classes(j), part))
+                out = dual_tensor_classes(j)
+                got = (is_distinguished(out.tensor_space), is_distinguished(out.irreducible))
             except Exception as exc:
-                report.counterexamples.append(f"{j}: {raised(exc, 'thmA', j)}")
+                for report, _ in sweeps:
+                    report.evaluated += 1
+                    report.counterexamples.append(f"{j}: {raised(exc, 'thmA', j)}")
                 continue
-            want = j in expected
-            if got:
-                seen.add(j)
-                report.hits.append(str(j))
-            if got != want:
-                report.counterexamples.append(f"{j}: distinguished={got}, expected={want}{repro('thmA', j)}")
-    for j in expected:
-        if j not in seen:
-            report.counterexamples.append(f"{j}: expected distinguished, not seen{repro('thmA', j)}")
-    report.elapsed = time.perf_counter() - start
-    return report
+            for (report, expected), hit in zip(sweeps, got):
+                report.evaluated += 1
+                if hit:
+                    report.hits.append(str(j))
+                want = j in expected
+                if hit != want:
+                    report.counterexamples.append(f"{j}: distinguished={hit}, expected={want}{repro('thmA', j)}")
+    for report, expected in sweeps:
+        report.counterexamples += [
+            f"{j}: expected distinguished, not seen{repro('thmA', j)}" for j in expected if str(j) not in report.hits
+        ]
+        report.elapsed = time.perf_counter() - start
+    return sweeps[0][0], sweeps[1][0]
 
 
 def verify_prop_A_tensor(max_n: int) -> SweepReport:
-    """The dual tensor square is distinguished only for a single 2-block.
-
-    Covers every Jordan type of dimension 2..max_n.
-    """
-    expected = [JordanType(((2, 1),))] if max_n >= 2 else []
-    return _dual_tensor_sweep("dual-tensor-distinguished", max_n, "tensor_space", expected)
+    """The first report of :func:`verify_prop_A`: the dual tensor square."""
+    return verify_prop_A(max_n)[0]
 
 
 def verify_prop_A_irr(max_n: int) -> SweepReport:
-    """The irreducible subquotient is distinguished only for single blocks of size 2, 3, 5."""
-    expected = [JordanType(((n, 1),)) for n in (2, 3, 5) if n <= max_n]
-    return _dual_tensor_sweep("dual-irreducible-distinguished", max_n, "irreducible", expected)
+    """The second report of :func:`verify_prop_A`: the simple subquotient."""
+    return verify_prop_A(max_n)[1]
 
 
 def _distinct_v_sums(max_dim: int, keep: Callable[[SymplecticType], bool]) -> list[SymplecticType]:

@@ -202,7 +202,7 @@ class TestSweepCommands:
     )
     def test_distinguished_bounds_are_capped(self, capsys, monkeypatch, argv):
         # argparse rejects a bound past its cap before any sweep starts
-        for name in ("verify_prop_A_tensor", "verify_prop_A_irr", "verify_prop_tensor", "verify_prop_C"):
+        for name in ("verify_prop_A", "verify_prop_tensor", "verify_prop_C"):
             monkeypatch.setattr(cli, name, lambda bound: pytest.fail("a sweep started"))
         with pytest.raises(SystemExit) as exc:
             main(["distinguished", *argv])

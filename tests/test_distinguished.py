@@ -2,13 +2,14 @@
 
 import pytest
 
-from sp2forms import distinguished, hesselink
+from sp2forms import cli, distinguished, hesselink
 from sp2forms.distinguished import (
     _distinct_v_sums,
     _search,
     _within_subquotient_reach,
     is_distinguished,
     repro,
+    verify_prop_A,
     verify_prop_A_irr,
     verify_prop_A_tensor,
     verify_prop_C,
@@ -155,6 +156,20 @@ class TestSweeps:
         assert len(report.hits) == 1212
         assert report.checked == 307214060
         assert report.evaluated <= report.checked
+
+    def test_one_dual_pass_per_command(self, capsys, monkeypatch):
+        # both dual tensor reports share one search and one rules call per surviving type;
+        # the other search is the wedge sweep's
+        calls = {"_search": 0, "dual_tensor_classes": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(distinguished, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(distinguished, name, counted)
+        assert cli.main(["distinguished", "--max-n", "22", "--max-dim", "44"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+        assert calls == {"_search": 2, "dual_tensor_classes": 8}
 
     def test_missing_expected_hits_are_reported(self, monkeypatch):
         # a sweep that sees none of its expected classes says so, with a command to rerun each
@@ -303,10 +318,13 @@ class TestAgainstExhaustive:
     def test_dual_sweeps(self, max_n):
         single2 = [JordanType(((2, 1),))] if max_n >= 2 else []
         small = [JordanType(((n, 1),)) for n in (2, 3, 5) if n <= max_n]
-        _same_report(verify_prop_A_tensor(max_n),
-                     _reference_dual("dual-tensor-distinguished", max_n, "tensor_space", single2))
-        _same_report(verify_prop_A_irr(max_n),
-                     _reference_dual("dual-irreducible-distinguished", max_n, "irreducible", small))
+        references = (_reference_dual("dual-tensor-distinguished", max_n, "tensor_space", single2),
+                      _reference_dual("dual-irreducible-distinguished", max_n, "irreducible", small))
+        _same_report(verify_prop_A_tensor(max_n), references[0])
+        _same_report(verify_prop_A_irr(max_n), references[1])
+        for fast, slow in zip(verify_prop_A(max_n), references, strict=True):  # the one pass, in this order
+            assert fast.name == slow.name
+            _same_report(fast, slow)
 
     @pytest.mark.parametrize("max_dim", [-5, 0, 3, 4, 12, 20, 28, 36, 44, 60])
     def test_pair_sweep(self, max_dim):
