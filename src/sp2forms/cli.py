@@ -37,10 +37,11 @@ from .reps import dual_tensor_classes, wedge_square_classes
 # Whole runs on that host spread up to 1.8x between sessions of one day.
 
 # Caps on the distinguished sweep bounds, which drive time and memory.  At the
-# caps the command takes 3.4 s and 60 MB: the wedge sweep 0.2 s, each
-# dual-tensor sweep 0.05 s (most of both is the closed class count), and the
-# pair sweep 2.4 s.  The pair sweep grows with its hit count: an earlier
-# session measured 16 s and 207 MB at --max-dim 500.
+# caps, in four runs at a later commit on the same host type, the command
+# takes 2.1-2.3 s and 60 MB: the wedge sweep 0.15 s, the one pass giving both
+# dual-tensor reports 0.035 s (most of both is the closed class count), and
+# the pair sweep 1.7-1.9 s.  The pair sweep grows with its hit count: an
+# earlier session measured 16 s and 207 MB at --max-dim 500.
 MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 
