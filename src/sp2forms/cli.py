@@ -7,13 +7,13 @@ the distinguished-class verification sweeps.
 
 Every command is declared once, in ``COMMANDS``: its help line, its handler
 and its arguments, each a name or flag with its ``add_argument`` keywords.
-``main`` reads a command's arguments itself (``read_command``), which is
-all a well-formed run needs, and imports no ``argparse``.  Only when that
-read declines (help, an error, or a form it leaves to argparse, such as an
-abbreviation) does it build the parser of the invoked command alone, so
-every help text, usage line and error is argparse's; the full tree of
-subparsers (``build_parser``) is built from the same table only for the
-command listing, top-level options and errors outside any command.
+``main`` reads a command line in one of two ways.  When it starts with a
+command name, ``read_command`` reads the command's arguments itself, which
+is all a well-formed run needs, and no ``argparse`` is imported.  Anything
+else (no command, a top-level option, or an argv that read declines, such
+as help, an error or an abbreviation) goes to the full tree of subparsers
+(``build_parser``), built from the same table, so every help text, usage
+line and error is argparse's.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 """
@@ -317,7 +317,7 @@ def _cmd_distinguished(args) -> int:
 
 
 # Each argument: (name or flag, add_argument keywords), written once for both
-# readers.  _add_command passes the keywords to argparse; read_command
+# readers.  build_parser passes the keywords to argparse; read_command
 # understands only type, choices, default and action="store_true" (help and
 # metavar are for argparse alone).
 _PAIR = (("left", {}), ("right", {}))
@@ -368,17 +368,8 @@ COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give parser the arguments of command name, then --json and the handler as fn."""
-    _, handler, arguments = COMMANDS[name]
-    for flag, keywords in (*arguments, _JSON):
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(fn=handler)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The full tree: the top-level options and one subparser per command."""
+    """The full tree: the top-level options and one subparser per command, each with --json and its handler as fn."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -387,20 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, handler, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, keywords in (*arguments, _JSON):
+            command.add_argument(flag, **keywords)
+        command.set_defaults(fn=handler)
     return parser
 
 
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command alone: the tree's subparser for it (same prog, arguments and order)."""
-    import argparse
-
-    return _add_command(argparse.ArgumentParser(prog=f"sp2forms {name}"), name)
-
-
 def read_command(name: str, tokens: list[str]) -> dict | None:
-    """The fields command_parser(name) would parse from tokens, or None to leave them to it.
+    """The fields the tree's subparser for name would parse from tokens, or None to leave them to it.
 
     Reads only what it fully understands: the command's options spelled in
     full, each but a store_true one followed by a value that does not start
@@ -453,23 +440,14 @@ def _dest(flag: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Parse argv and run its command.
 
-    When argv starts with a command name, read_command reads the rest;
-    only when it declines is that command's parser built, so its help,
-    usage and errors are the tree's.  Everything else builds the full tree:
-    no command, an option before it, an unknown name, and arguments the
-    command leaves over, which only the tree reports (with its own usage
-    line).
+    When argv starts with a command name, read_command reads the rest.
+    Everything else goes to the full tree: no command, an option before it,
+    an unknown name, and any argv that read_command declines, so help,
+    usage lines and errors are argparse's.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMANDS:
-        fields = read_command(argv[0], argv[1:])
-        if fields is not None:
-            args = SimpleNamespace(**fields)
-            return args.fn(args)
-        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args.fn(args)
-    args = build_parser().parse_args(argv)
+    fields = read_command(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    args = build_parser().parse_args(argv) if fields is None else SimpleNamespace(**fields)
     return args.fn(args)
 
 

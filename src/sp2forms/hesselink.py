@@ -75,12 +75,6 @@ class EpsilonTaggedType(Value):
     def dimension(self) -> int:
         return sum(d * m for d, m, _ in self.entries)
 
-    def eps(self, d: int) -> int:
-        for size, _, e in self.entries:
-            if size == d:
-                return e
-        return 0
-
     def is_empty(self) -> bool:
         return not self.entries
 

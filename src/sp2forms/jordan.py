@@ -98,17 +98,11 @@ class JordanType(Value):
     def sizes(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.blocks)
 
-    def multiplicity(self, d: int) -> int:
-        return dict(self.blocks).get(d, 0)
-
     def dimension(self) -> int:
         return sum(d * m for d, m in self.blocks)
 
     def total_blocks(self) -> int:
         return sum(m for _, m in self.blocks)
-
-    def is_empty(self) -> bool:
-        return not self.blocks
 
     def expand(self) -> tuple[int, ...]:
         """All block sizes listed with multiplicity, ascending."""

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp2forms import __version__, cli, distinguished
+from sp2forms import __version__, cli, crosscheck, distinguished
 from sp2forms.cli import main
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType
 from sp2forms.jordan import JordanType
@@ -56,6 +55,21 @@ class TestValueCommands:
         assert code == 2
         assert "dimension" in err
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (("thmC", "2_0"), "error: invalid symplectic type '2_0': size 2 has odd multiplicity 1 with eps = 0; "
+                              "odd multiplicity forces eps = 1\n"),
+            (("thmC", "2_1"), "error: need dimension at least 4, got 2\n"),
+        ],
+    )
+    def test_invalid_class_is_a_usage_error(self, capsys, argv, err):
+        try:  # a parse error exits, a rule's error returns
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "thmA", "5", "--json")
         assert code == 0
@@ -95,6 +109,13 @@ class TestTable:
         code, _, err = run(capsys, "table", "A", "2..2", "--golden", str(bad))
         assert code == 1
         assert "mismatch" in err
+
+    def test_golden_row_count_mismatch(self, capsys, tmp_path):
+        short = tmp_path / "short.txt"
+        short.write_text("".join((GOLDEN / "table_A.txt").read_text(encoding="utf-8").splitlines(True)[:2]), encoding="utf-8")
+        code, out, err = run(capsys, "table", "A", "2..3", "--golden", str(short))
+        assert code == 1 and len(out.splitlines()) == 3
+        assert err == "golden mismatch: 3 rows computed, 2 expected\n"
 
     @pytest.mark.parametrize("which", ["A", "C"])
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, monkeypatch, which):
@@ -230,12 +251,6 @@ class TestSweepCommands:
         assert exc.value.code == 2
 
 
-def _tree_subparser(name):
-    tree = cli.build_parser()
-    subparsers = next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
-    return subparsers.choices[name]
-
-
 def _outcome(capsys, parse, argv):
     """(exit code, stdout, stderr) of parse(argv), which is expected to exit."""
     with pytest.raises(SystemExit) as exc:
@@ -245,11 +260,7 @@ def _outcome(capsys, parse, argv):
 
 
 class TestParserSplit:
-    """main builds only the invoked command's parser; it must act as the tree's subparser."""
-
-    @pytest.mark.parametrize("name", list(cli.COMMANDS))
-    def test_help_matches_tree(self, name):
-        assert cli.command_parser(name).format_help() == _tree_subparser(name).format_help()
+    """main reads a named command directly; every argv that read declines goes to the full tree."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -271,7 +282,6 @@ class TestParserSplit:
     def test_same_namespace(self, argv):
         tree = vars(cli.build_parser().parse_args(argv))
         assert tree.pop("command") == argv[0]
-        assert vars(cli.command_parser(argv[0]).parse_args(argv[1:])) == tree
         # the direct read gives the same fields; a negative number is left to argparse
         assert cli.read_command(argv[0], argv[1:]) == (None if "-3" in argv else tree)
 
@@ -298,7 +308,6 @@ class TestParserSplit:
             raise AssertionError("an argparse parser was built")
 
         monkeypatch.setattr(cli, "build_parser", parser)
-        monkeypatch.setattr(cli, "command_parser", parser)
         runs = (
             ["tensor", "3", "5"],
             ["wedge", "2"],
@@ -319,6 +328,15 @@ class TestParserSplit:
         )
         for argv in runs + benchmark:
             assert main(argv) == 0, argv
+
+    def test_declined_argv_runs_through_the_tree(self, capsys):
+        # valid forms read_command leaves to argparse: an '=' value and '--'
+        code, out, _ = run(capsys, "oracle-check", "--max-dim=4", "--max-n", "2", "--json")
+        _, spaced, _ = run(capsys, "oracle-check", "--max-dim", "4", "--max-n", "2", "--json")
+        untimed = [{k: v for k, v in json.loads(text).items() if k not in ("elapsed_seconds", "stage_seconds")}
+                   for text in (out, spaced)]
+        assert code == 0 and untimed[0] == untimed[1] and untimed[0]["symplectic_checked"] == 5
+        assert run(capsys, "tensor", "--", "3", "5") == (0, "4^2,7\n", "")
 
     def test_no_command(self, capsys):
         code, out, err = _outcome(capsys, main, [])
@@ -389,7 +407,7 @@ class TestTableCaps:
 
 
 class TestDirectRead:
-    """read_command returns what command_parser would parse, or None to leave the argv to it."""
+    """read_command returns what the tree would parse after the command name, or None to leave the argv to it."""
 
     def test_declarations_use_only_what_the_direct_read_understands(self):
         for name, (_, _, arguments) in cli.COMMANDS.items():
@@ -495,13 +513,18 @@ def _tokens(name):
     return st.one_of(*map(st.sampled_from, kinds))
 
 
+_TREE = cli.build_parser()  # parse_args leaves a parser as it was, so one tree serves every example
+
+
 def _argparse_fields(name, argv):
-    """vars() of command_parser(name).parse_args(argv), or None when argparse exits (help or an error)."""
+    """vars() of the tree's parse of [name, *argv] without command, or None when argparse exits (help or an error)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.command_parser(name).parse_args(argv))
+            fields = vars(_TREE.parse_args([name, *argv]))
         except SystemExit:
             return None
+    assert fields.pop("command") == name
+    return fields
 
 
 class TestRuleErrors:
@@ -521,6 +544,42 @@ class TestRuleErrors:
         code, out, err = run(capsys, "table", which, "2..3")
         assert (code, out) == (1, "")
         assert err == f"error: table {which}: raised RuntimeError: forced; run: sp2forms {command} {bad}\n"
+
+    def test_oracle_check_text(self, capsys, monkeypatch):
+        # after the summary, each mismatch and then each parity violation, indented by two spaces
+        real = crosscheck.dual_tensor_classes
+        monkeypatch.setattr(crosscheck, "dual_tensor_classes", lambda j: real(JordanType.parse("3") if str(j) == "2" else j))
+        monkeypatch.setattr(crosscheck, "_parity_problems", lambda t, n, context: [f"{context}: forced"] if context == "wedge(4_1)" else [])
+        code, out, _ = run(capsys, "oracle-check", "--max-dim", "4", "--max-n", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL: 5 symplectic + 2 linear instances, 2 mismatches, 1 parity violations, ")
+        assert lines[1:] == [
+            "  dual-tensor(2): matrices give 2_1^2, rules give 1_0,4_1^2; run: sp2forms thmA 2",
+            "  dual-sub(2): matrices give 2_1, rules give 4_1^2; run: sp2forms thmA 2",
+            "  wedge(4_1): forced; run: sp2forms thmC 4_1",
+        ]
+
+    def test_distinguished_text(self, capsys, monkeypatch):
+        # each report's counterexamples follow its summary line, indented by two spaces
+        real = distinguished.dual_tensor_classes
+        monkeypatch.setattr(distinguished, "dual_tensor_classes", lambda j: 1 / 0 if str(j) == "2" else real(j))
+        code, out, _ = run(capsys, "distinguished", "--max-n", "3", "--max-dim", "4")
+        assert code == 1
+        # summary lines without their elapsed time
+        lines = [line if line[0] == " " else line.rsplit(", ", 1)[0] for line in out.splitlines()]
+        counterexamples = [
+            "  2: raised ZeroDivisionError: division by zero; run: sp2forms thmA 2",
+            "  2: expected distinguished, not seen; run: sp2forms thmA 2",
+        ]
+        assert lines == [
+            "FAIL dual-tensor-distinguished: 5 checked, 3 evaluated, 0 distinguished, 2 counterexamples",
+            *counterexamples,
+            "FAIL dual-irreducible-distinguished: 5 checked, 3 evaluated, 1 distinguished, 2 counterexamples",
+            *counterexamples,
+            "PASS bilinear-tensor-distinguished: 4 checked, 1 evaluated, 1 distinguished, 0 counterexamples",
+            "PASS wedge-distinguished: 14 checked, 7 evaluated, 4 distinguished, 0 counterexamples",
+        ]
 
     def test_distinguished(self, capsys, monkeypatch):
         # each sweep reports the raising class as one counterexample and goes on with the rest
