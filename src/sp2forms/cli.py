@@ -392,11 +392,11 @@ def read_command(name: str, tokens: list[str]) -> dict | None:
     Reads only what it fully understands: the command's options spelled in
     full, each but a store_true one followed by a value that does not start
     with '-', and exactly its positionals, in any order; a repeated option
-    keeps its last value.  It declines everything else, so that argparse
-    prints its own help, usage line or error: -h, --help, an abbreviation,
-    --opt=value, --, any other token starting with '-' (such as a negative
-    number), a missing value, the wrong number of positionals, and a value
-    that fails its type or choices.
+    keeps its last value.  It declines everything else, which argparse
+    then parses or answers with its own help, usage line or error: -h,
+    --help, an abbreviation, --opt=value, --, any other token starting
+    with '-' (such as a negative number), a missing value, the wrong number
+    of positionals, and a value that fails its type or choices.
     """
     _, handler, arguments = COMMANDS[name]
     declared = dict((*arguments, _JSON))

@@ -28,6 +28,7 @@ class TestValueCommands:
         "argv,want",
         [
             (("tensor", "3", "5"), "4^2,7"),
+            (("tensor", "--", "3", "5"), "4^2,7"),  # declined by read_command, run through the tree
             (("tensor", "1", "9"), "9"),
             (("tensor", "2", "2,5"), "2^2,4,6"),
             (("wedge", "2^2,8"), "1^2,2^2,4,8^7"),
@@ -112,7 +113,8 @@ class TestTable:
 
     def test_golden_row_count_mismatch(self, capsys, tmp_path):
         short = tmp_path / "short.txt"
-        short.write_text("".join((GOLDEN / "table_A.txt").read_text(encoding="utf-8").splitlines(True)[:2]), encoding="utf-8")
+        first_two = (GOLDEN / "table_A.txt").read_text(encoding="utf-8").splitlines(True)[:2]
+        short.write_text("".join(first_two), encoding="utf-8")
         code, out, err = run(capsys, "table", "A", "2..3", "--golden", str(short))
         assert code == 1 and len(out.splitlines()) == 3
         assert err == "golden mismatch: 3 rows computed, 2 expected\n"
@@ -330,13 +332,12 @@ class TestParserSplit:
             assert main(argv) == 0, argv
 
     def test_declined_argv_runs_through_the_tree(self, capsys):
-        # valid forms read_command leaves to argparse: an '=' value and '--'
+        # a valid '=' form, which read_command leaves to argparse
         code, out, _ = run(capsys, "oracle-check", "--max-dim=4", "--max-n", "2", "--json")
         _, spaced, _ = run(capsys, "oracle-check", "--max-dim", "4", "--max-n", "2", "--json")
         untimed = [{k: v for k, v in json.loads(text).items() if k not in ("elapsed_seconds", "stage_seconds")}
                    for text in (out, spaced)]
         assert code == 0 and untimed[0] == untimed[1] and untimed[0]["symplectic_checked"] == 5
-        assert run(capsys, "tensor", "--", "3", "5") == (0, "4^2,7\n", "")
 
     def test_no_command(self, capsys):
         code, out, err = _outcome(capsys, main, [])
@@ -548,8 +549,13 @@ class TestRuleErrors:
     def test_oracle_check_text(self, capsys, monkeypatch):
         # after the summary, each mismatch and then each parity violation, indented by two spaces
         real = crosscheck.dual_tensor_classes
-        monkeypatch.setattr(crosscheck, "dual_tensor_classes", lambda j: real(JordanType.parse("3") if str(j) == "2" else j))
-        monkeypatch.setattr(crosscheck, "_parity_problems", lambda t, n, context: [f"{context}: forced"] if context == "wedge(4_1)" else [])
+        three = JordanType.parse("3")
+        monkeypatch.setattr(crosscheck, "dual_tensor_classes", lambda j: real(three if str(j) == "2" else j))
+
+        def forced(tagged, nondegenerate, context):
+            return [f"{context}: forced"] if context == "wedge(4_1)" else []
+
+        monkeypatch.setattr(crosscheck, "_parity_problems", forced)
         code, out, _ = run(capsys, "oracle-check", "--max-dim", "4", "--max-n", "2")
         assert code == 1
         lines = out.splitlines()
