@@ -28,7 +28,6 @@ class TestValueCommands:
         "argv,want",
         [
             (("tensor", "3", "5"), "4^2,7"),
-            (("tensor", "--", "3", "5"), "4^2,7"),  # declined by read_command, run through the tree
             (("tensor", "1", "9"), "9"),
             (("tensor", "2", "2,5"), "2^2,4,6"),
             (("wedge", "2^2,8"), "1^2,2^2,4,8^7"),
@@ -37,6 +36,7 @@ class TestValueCommands:
             (("thmA", "5"), "1_0,4_1^2,8_1^2 | 4_1^2,8_1^2"),
             (("thmC", "4_1"), "2_1,4_1 | 4_1"),
             (("thmC", "2_0^2"), "1_0^2,2_1^2 | 1_0^2,2_1"),
+            (("tensor", "--", "3", "5"), "4^2,7"),  # declined by read_command, run through the tree
         ],
     )
     def test_outputs(self, capsys, argv, want):
