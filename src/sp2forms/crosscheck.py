@@ -4,11 +4,12 @@ For every symplectic class up to a dimension bound, build explicit matrices,
 take the wedge square with its canonical form, and compare the matrix-level
 tagged type and fixed-vector subquotient against the combinatorial rules.
 Likewise on the special linear side with the dual tensor square.  The sweep
-also records violations of the two tag parity laws (a tagged size must be
-even; odd multiplicity on a non-degenerate space forces the tag), which must
-never occur.  Every mismatch and violation line ends with the command that
-reproduces the rules' side of it.  The report also totals the time of each
-matrix stage over all instances (``STAGES``).
+also records violations of the tag parity law that odd multiplicity on a
+non-degenerate space forces the tag, which must never occur; a tag on an odd
+size cannot occur at all, since EpsilonTaggedType raises on it.  Every
+mismatch and violation line ends with the command that reproduces the rules'
+side of it.  The report also totals the time of each matrix stage over all
+instances (``STAGES``).
 """
 
 from __future__ import annotations
@@ -84,13 +85,8 @@ class CrosscheckReport(Record):
 
 
 def _parity_problems(tagged: EpsilonTaggedType, nondegenerate: bool, context: str) -> list[str]:
-    out = []
-    for d, m, e in tagged.entries:
-        if e == 1 and d % 2:
-            out.append(f"{context}: size {d} tagged but odd")
-        if nondegenerate and m % 2 and e == 0:
-            out.append(f"{context}: size {d} has odd multiplicity {m} but no tag on a non-degenerate space")
-    return out
+    return [f"{context}: size {d} has odd multiplicity {m} but no tag on a non-degenerate space"
+            for d, m, e in tagged.entries if nondegenerate and m % 2 and e == 0]
 
 
 def _compare(
@@ -101,10 +97,10 @@ def _compare(
     full_rule: EpsilonTaggedType,
     irr_rule: SymplecticType,
     clock: _Stopwatch,
-) -> tuple[str, list[str], list[str]]:
+) -> tuple[list[str], list[str]]:
     """Check a built space and its fixed-vector subquotient against the rules' classes.
 
-    Returns (text, mismatches, parity violations); labels name the full space
+    Returns (mismatches, parity violations); labels name the full space
     and the subquotient in the messages, and each line ends with
     ``sp2forms <command> <text>``.  clock takes a lap after each stage.
     """
@@ -132,13 +128,13 @@ def _compare(
         mismatches.append(f"{sub_label}: subquotient form is degenerate")
     parity += _parity_problems(irr, True, sub_label)
     suffix = repro(command, text)
-    return (text, [line + suffix for line in mismatches], [line + suffix for line in parity])
+    return [line + suffix for line in mismatches], [line + suffix for line in parity]
 
 
 def check_symplectic_instance(
     type_string: str, stage_seconds: dict[str, float] | None = None
-) -> tuple[str, list[str], list[str]]:
-    """Compare the wedge pipeline for one symplectic class; returns (desc, mismatches, parity).
+) -> tuple[list[str], list[str]]:
+    """Compare the wedge pipeline for one symplectic class; returns (mismatches, parity).
 
     The time of each matrix stage is added to stage_seconds when it is given.
     """
@@ -156,7 +152,7 @@ def check_symplectic_instance(
 
 def check_linear_instance(
     jordan_string: str, stage_seconds: dict[str, float] | None = None
-) -> tuple[str, list[str], list[str]]:
+) -> tuple[list[str], list[str]]:
     """Compare the dual tensor pipeline for one Jordan type; stage times as for the wedge pipeline."""
     j = JordanType.parse(jordan_string)
     predicted = dual_tensor_classes(j)
@@ -170,7 +166,7 @@ def check_linear_instance(
     )
 
 
-def _run_one(task: tuple[str, str]) -> tuple[tuple[str, list[str], list[str]], dict[str, float]]:
+def _run_one(task: tuple[str, str]) -> tuple[tuple[list[str], list[str]], dict[str, float]]:
     """One instance's result and its stage times, which a worker process sends back with it.
 
     An exception from the rules or the matrices becomes the one mismatch of
@@ -183,7 +179,7 @@ def _run_one(task: tuple[str, str]) -> tuple[tuple[str, list[str], list[str]], d
         return check(arg, stage_seconds), stage_seconds
     except Exception as exc:
         label, command = ("wedge", "thmC") if kind == "sp" else ("dual-tensor", "thmA")
-        return (arg, [f"{label}({arg}): {raised(exc, command, arg)}"], []), stage_seconds
+        return ([f"{label}({arg}): {raised(exc, command, arg)}"], []), stage_seconds
 
 
 def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:
@@ -198,17 +194,12 @@ def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:
     return tasks
 
 
-def _clamp_jobs(jobs: int) -> int:
-    """Bound a requested worker count to 1..os.cpu_count()."""
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
 def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int = 1) -> CrosscheckReport:
     """Run both sweeps, optionally over a process pool; order-independent report.
 
     The worker count is clamped to 1..os.cpu_count().
     """
-    jobs = _clamp_jobs(jobs)
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     tasks = sweep_tasks(max_dim, max_n)
     report = CrosscheckReport()
     start = time.perf_counter()
@@ -219,7 +210,7 @@ def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int = 1) -> Crossche
             results = pool.map(_run_one, tasks, chunksize=4)
     else:
         results = [_run_one(t) for t in tasks]
-    for (kind, _), ((_, mismatches, parity), stage_seconds) in zip(tasks, results):
+    for (kind, _), ((mismatches, parity), stage_seconds) in zip(tasks, results):
         for stage, t in stage_seconds.items():
             report.stage_seconds[stage] += t
         if kind == "sp":

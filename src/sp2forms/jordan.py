@@ -249,29 +249,23 @@ class ConsecutiveOnesExpansion(Value):
 def consecutive_ones(n: int) -> ConsecutiveOnesExpansion:
     """Expand n > 0 into its minimal alternating sum of powers of two.
 
-    Maximal runs of ones in the binary expansion become differences
-    2^a - 2^b; a final single-bit run collapses to a lone +2^b term.
+    The set bits of n ^ (n << 1) are where the bits of n change, so each
+    maximal run of ones, bits b..a-1, gives exponents a and b, and read from
+    the top they make n = 2^a - 2^b + ... with signs alternating from +.  A
+    lowest run of one bit, 2^(b+1) - 2^b, collapses to a lone +2^b term.
     """
     if n <= 0:
         raise ValueError(f"consecutive_ones requires a positive integer, got {n}")
-    runs = []  # (low, high): bits low..high-1 are set
-    pos = 0
-    m = n
-    while m:
-        z = nu2(m)
-        pos += z
-        m >>= z
-        r = ((m + 1) & -(m + 1)).bit_length() - 1  # length of the all-ones run
-        runs.append((pos, pos + r))
-        pos += r
-        m >>= r
-    terms: list[tuple[int, int]] = []
-    for low, high in reversed(runs):
-        terms.append((1, high))
-        terms.append((-1, low))
-    low0, high0 = runs[0]
-    if high0 == low0 + 1:
-        terms[-2:] = [(1, low0)]
+    change = n ^ (n << 1)
+    terms = []
+    sign = 1
+    while change:
+        e = change.bit_length() - 1
+        terms.append((sign, e))
+        sign = -sign
+        change ^= 1 << e
+    if terms[-2][1] == terms[-1][1] + 1:
+        terms[-2:] = [(1, terms[-1][1])]
     return ConsecutiveOnesExpansion(tuple(terms))
 
 
@@ -323,19 +317,16 @@ def tensor_square_closed(n: int) -> JordanType:
     """Jordan type of the tensor square of a single block, in closed form.
 
     Block sizes are the powers of two in the consecutive-ones expansion of n;
-    the multiplicity of 2^(e_i) is an alternating sum of the later powers.
+    the term s * 2^e has multiplicity 2^e + 2 s r, where r is the value of the
+    terms after it.
     """
     if n <= 0:
         raise ValueError(f"tensor_square_closed requires a positive integer, got {n}")
-    exps = consecutive_ones(n).exponents()
-    k = len(exps)
     out = {}
-    for i in range(k):
-        mult = 1 << exps[i]
-        for j in range(i + 1, k):
-            sign = -1 if (i + j + 1) % 2 else 1
-            mult -= sign * (1 << (exps[j] + 1))
-        out[1 << exps[i]] = mult
+    rest = 0
+    for s, e in reversed(consecutive_ones(n).terms):
+        out[1 << e] = (1 << e) + 2 * s * rest
+        rest += s << e
     return JordanType.from_dict(out)
 
 
@@ -462,9 +453,7 @@ def induce_power(j: JordanType, alpha: int) -> JordanType:
 
 def gcd_valuation(sizes) -> int:
     """nu2 of the gcd of a non-empty collection of positive integers."""
-    g = 0
-    for d in sizes:
-        g = gcd(g, d)
-    if g == 0:
+    g = gcd(*sizes)
+    if not g:
         raise ValueError("gcd_valuation requires a non-empty collection of sizes")
     return nu2(g)

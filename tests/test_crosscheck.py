@@ -14,8 +14,9 @@ from sp2forms.crosscheck import (
     run_crosscheck,
     sweep_tasks,
 )
-from sp2forms.hesselink import SymplecticType, orthogonal_sum, vtype, wtype
+from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, orthogonal_sum, vtype, wtype
 from sp2forms.jordan import JordanType
+from sp2forms.oracle import BilinearSpace, Gf2Matrix, PointedSpace
 from sp2forms.reps import dual_tensor_classes, wedge_square_classes
 
 
@@ -33,10 +34,10 @@ def large_symplectic_classes(draw):
 
 def test_single_instances_clean():
     for text in ("4_1", "2_0^2", "1_0^2,2_1", "2_0^2,8_1"):
-        _, mismatches, parity = check_symplectic_instance(text)
+        mismatches, parity = check_symplectic_instance(text)
         assert mismatches == [] and parity == []
     for text in ("2", "3", "1,2", "2^2"):
-        _, mismatches, parity = check_linear_instance(text)
+        mismatches, parity = check_linear_instance(text)
         assert mismatches == [] and parity == []
 
 
@@ -57,7 +58,7 @@ def test_sweep_to_dim_20_passes():
 @settings(max_examples=15, deadline=None)
 def test_large_symplectic_classes_match_oracle(s):
     assert 20 <= s.dimension() <= 40
-    _, mismatches, parity = check_symplectic_instance(str(s))
+    mismatches, parity = check_symplectic_instance(str(s))
     assert mismatches == [] and parity == []
 
 
@@ -170,3 +171,26 @@ def test_an_instance_that_raises_is_a_mismatch(monkeypatch, jobs):
         "dual-tensor(3): raised ZeroDivisionError: division by zero; run: sp2forms thmA 3",
     ]
     assert not report.ok and report.parity_violations == []
+
+
+def test_parity_line_for_an_untagged_odd_multiplicity():
+    # the one law the sweep checks: odd multiplicity on a non-degenerate space forces the tag
+    tagged = EpsilonTaggedType(((3, 1, 0),))
+    assert crosscheck._parity_problems(tagged, True, "ctx") == [
+        "ctx: size 3 has odd multiplicity 1 but no tag on a non-degenerate space"
+    ]
+    assert crosscheck._parity_problems(tagged, False, "ctx") == []
+
+
+def test_compare_reports_a_degenerate_subquotient():
+    # the zero form on four dimensions: rules that agree with the matrices still leave the
+    # degenerate subquotient and its untagged odd multiplicity to report
+    built = PointedSpace(BilinearSpace(Gf2Matrix.identity(4), Gf2Matrix(4, 4, [0] * 4)), 1)
+    rules = EpsilonTaggedType.parse("1_0^4"), EpsilonTaggedType.parse("1_0^3")
+    mismatches, parity = crosscheck._compare(
+        "x", "thmC", ("wedge", "wedge-sub"), built, *rules, crosscheck._Stopwatch({})
+    )
+    assert mismatches == ["wedge-sub(x): subquotient form is degenerate; run: sp2forms thmC x"]
+    assert parity == [
+        "wedge-sub(x): size 1 has odd multiplicity 3 but no tag on a non-degenerate space; run: sp2forms thmC x"
+    ]

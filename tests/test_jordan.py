@@ -156,6 +156,30 @@ def _minimal_alternating_length(n, max_exp=8):
     raise AssertionError(f"no expansion found for {n}")
 
 
+def _reference_consecutive_ones(n):
+    """The expansion's terms from a scan of the maximal runs of ones, each run bits low..high-1 giving
+    +2^high - 2^low, and a lowest run of one bit collapsing to +2^low."""
+    runs = []  # (low, high), from the bottom
+    pos = 0
+    m = n
+    while m:
+        z = nu2(m)
+        pos += z
+        m >>= z
+        r = nu2(m + 1)  # length of the all-ones run
+        runs.append((pos, pos + r))
+        pos += r
+        m >>= r
+    terms = []
+    for low, high in reversed(runs):
+        terms.append((1, high))
+        terms.append((-1, low))
+    low0, high0 = runs[0]
+    if high0 == low0 + 1:
+        terms[-2:] = [(1, low0)]
+    return tuple(terms)
+
+
 class TestConsecutiveOnes:
     @pytest.mark.parametrize(
         "n,want",
@@ -182,6 +206,16 @@ class TestConsecutiveOnes:
     def test_minimality_brute_force(self):
         for n in range(1, 257):
             assert len(consecutive_ones(n).exponents()) == _minimal_alternating_length(n), n
+
+    def test_matches_the_run_scan(self):
+        expand = consecutive_ones.__wrapped__  # uncached, so the session's cache does not keep 65,535 entries
+        for n in range(1, 1 << 16):
+            assert expand(n).terms == _reference_consecutive_ones(n), n
+
+    @given(st.integers(min_value=1, max_value=(1 << 2000) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_run_scan_on_large_integers(self, n):
+        assert consecutive_ones(n).terms == _reference_consecutive_ones(n)
 
 
 class TestTensorSquareClosed:

@@ -87,6 +87,63 @@ def test_oracle_report_satisfies_the_benchmark_checks(monkeypatch):
     assert tally.failed == 0, tally.notes
 
 
+def _count_marked_calls(monkeypatch):
+    """Rebind every spans.MARKS function with a counter in each package module that binds it, as spans._replace
+    does for the benchmark's marks; monkeypatch undoes it.  Returns the calls per name."""
+    spans = _load_perfbench("spans", monkeypatch)
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in spans.MARKS:
+        orig = spans._find(name)
+        wrapper = counted(name, orig)
+        for module in spans._package_modules():
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def _json_of(argv, capsys):
+    from sp2forms import cli
+
+    assert cli.main([*argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_benchmark_marks_see_every_oracle_stage(monkeypatch, capsys):
+    # the oracle segment floors cut each instance at its rules call and its five matrix stages; a stage or rule
+    # function captured where the marks cannot rebind it would silently merge segments
+    calls = _count_marked_calls(monkeypatch)
+    report = _json_of(["oracle-check", "--max-dim", "6", "--max-n", "3"], capsys)
+    sp, sl = report["symplectic_checked"], report["linear_checked"]
+    assert (sp, sl) == (14, 5) and report["ok"]
+    assert calls == {
+        "reps.wedge_square_classes": sp, "oracle.space_from_type": sp, "oracle.wedge_space": sp,
+        "reps.dual_tensor_classes": sl, "oracle.unipotent_from_jordan": sl, "oracle.dual_tensor_space": sl,
+        "oracle.hesselink_of_space": 2 * (sp + sl), "oracle.subquotient": sp + sl,
+    }
+    assert sum(calls.values()) == 6 * (sp + sl) == 114
+
+
+def test_benchmark_marks_see_every_sweep_evaluation(monkeypatch, capsys):
+    # each class a sweep evaluates is one marked rules call; the two dual tensor reports share one pass
+    calls = _count_marked_calls(monkeypatch)
+    reports = _json_of(["distinguished", "--max-n", "6", "--max-dim", "16"], capsys)
+    evaluated = [r["evaluated"] for r in reports]
+    assert evaluated == [6, 6, 7, 12]
+    assert sum(calls.values()) == sum(evaluated[1:]) == 25
+
+
 def test_oracle_check_transposes_only_small_matrices(monkeypatch):
     # the wedge, dual tensor and subquotient builders write both views of their operators, so the only
     # transposes left are of matrices the size of an input (at most 8 x 8 here)

@@ -7,9 +7,31 @@ import pytest
 
 from sp2forms.crosscheck import STAGES, CrosscheckReport
 from sp2forms.distinguished import SweepReport
-from sp2forms.hesselink import EpsilonTaggedType, SymplecticConstraintError, SymplecticType
-from sp2forms.jordan import ConsecutiveOnesExpansion, JordanType, consecutive_ones
-from sp2forms.oracle import BilinearSpace, Gf2Matrix, PointedSpace, build_v, build_w
+from sp2forms.hesselink import EpsilonTaggedType, SymplecticConstraintError, SymplecticType, vtype, wtype
+from sp2forms.jordan import (
+    ConsecutiveOnesExpansion,
+    JordanType,
+    consecutive_ones,
+    gcd_valuation,
+    induce_power,
+    nu2,
+    restrict_power,
+    tensor_square_closed,
+    wedge_block,
+)
+from sp2forms.oracle import (
+    BilinearSpace,
+    Gf2Matrix,
+    PointedSpace,
+    build_v,
+    build_w,
+    dual_tensor_space,
+    epsilon_of_space,
+    induced_space,
+    restricted_space,
+    space_from_type,
+    wedge_space,
+)
 from sp2forms.reps import DualTensorClasses, WedgeSquareClasses
 
 TAGGED = EpsilonTaggedType(((1, 1, 0), (2, 1, 1)))
@@ -127,6 +149,41 @@ def test_positional_construction_matches_keywords():
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    pytest.param(lambda: nu2(0), "nu2 requires a positive integer, got 0", id="nu2"),
+    pytest.param(lambda: tensor_square_closed(0), "tensor_square_closed requires a positive integer, got 0",
+                 id="tensor_square_closed"),
+    pytest.param(lambda: wedge_block(0), "wedge_block requires a positive block size, got 0", id="wedge_block"),
+    pytest.param(lambda: restrict_power(JordanType(((3, 1),)), -1), "alpha must be non-negative, got -1",
+                 id="restrict_power"),
+    pytest.param(lambda: induce_power(JordanType(((3, 1),)), -1), "alpha must be non-negative, got -1",
+                 id="induce_power"),
+    pytest.param(lambda: gcd_valuation(()), "gcd_valuation requires a non-empty collection of sizes",
+                 id="gcd_valuation"),
+    pytest.param(lambda: vtype(3), "V(d) requires an even positive size, got 3", id="vtype-size"),
+    pytest.param(lambda: vtype(2, 0), "count must be positive, got 0", id="vtype-count"),
+    pytest.param(lambda: wtype(0), "W(d) requires a positive size, got 0", id="wtype-size"),
+    pytest.param(lambda: wtype(1, 0), "count must be positive, got 0", id="wtype-count"),
+    pytest.param(lambda: Gf2Matrix(2, 2, [1]), "expected 2 rows, got 1", id="matrix-rows"),
+    pytest.param(lambda: Gf2Matrix.identity(2).add(Gf2Matrix.identity(3)), "shape mismatch", id="add"),
+    pytest.param(lambda: Gf2Matrix(2, 3, [0, 0]).mul(Gf2Matrix(2, 3, [0, 0])), "shape mismatch", id="mul"),
+    pytest.param(lambda: Gf2Matrix(2, 3, [0, 0]).inverse(), "inverse requires a square matrix", id="inverse"),
+    pytest.param(lambda: build_w(0), "W(d) requires a positive size, got 0", id="build_w"),
+    pytest.param(lambda: space_from_type(SymplecticType(())), "cannot build the zero space", id="space_from_type"),
+    pytest.param(lambda: dual_tensor_space(Gf2Matrix.identity(1)), "need dimension at least 2, got 1",
+                 id="dual_tensor_space"),
+    pytest.param(lambda: wedge_space(build_w(1)), "need dimension at least 4, got 2", id="wedge_space"),
+    pytest.param(lambda: epsilon_of_space(build_w(1), 0), "size must be positive, got 0", id="epsilon_of_space"),
+    pytest.param(lambda: restricted_space(build_w(1), -1), "alpha must be non-negative, got -1",
+                 id="restricted_space"),
+    pytest.param(lambda: induced_space(build_w(1), 0), "alpha must be positive, got 0", id="induced_space"),
+])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message
 
 
