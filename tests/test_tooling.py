@@ -105,6 +105,7 @@ def _count_marked_calls(monkeypatch):
 
     for name in spans.MARKS:
         orig = spans._find(name)
+        assert callable(orig), name  # a missing name would rebind every None in the package
         wrapper = counted(name, orig)
         for module in spans._package_modules():
             for attr, value in list(vars(module).items()):
