@@ -50,15 +50,13 @@ class CrosscheckReport(Record):
     processes it sums their times, so it can exceed the elapsed wall time.
     """
 
-    def __init__(self, symplectic_checked: int = 0, linear_checked: int = 0, mismatches: list[str] | None = None,
-                 parity_violations: list[str] | None = None, elapsed: float = 0.0,
-                 stage_seconds: dict[str, float] | None = None):
-        self.symplectic_checked = symplectic_checked
-        self.linear_checked = linear_checked
-        self.mismatches = [] if mismatches is None else mismatches
-        self.parity_violations = [] if parity_violations is None else parity_violations
-        self.elapsed = elapsed
-        self.stage_seconds = dict.fromkeys(STAGES, 0.0) if stage_seconds is None else stage_seconds
+    def __init__(self):
+        self.symplectic_checked = 0
+        self.linear_checked = 0
+        self.mismatches: list[str] = []
+        self.parity_violations: list[str] = []
+        self.elapsed = 0.0
+        self.stage_seconds = dict.fromkeys(STAGES, 0.0)
 
     @property
     def ok(self) -> bool:

@@ -53,14 +53,13 @@ class SweepReport(Record):
     computed, the ones the sweep's search could not rule out.
     """
 
-    def __init__(self, name: str, checked: int = 0, evaluated: int = 0, hits: list[str] | None = None,
-                 counterexamples: list[str] | None = None, elapsed: float = 0.0):
+    def __init__(self, name: str, checked: int = 0):
         self.name = name
         self.checked = checked
-        self.evaluated = evaluated
-        self.hits = [] if hits is None else hits
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.elapsed = elapsed
+        self.evaluated = 0
+        self.hits: list[str] = []
+        self.counterexamples: list[str] = []
+        self.elapsed = 0.0
 
     @property
     def ok(self) -> bool:
@@ -283,7 +282,7 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     dimension at most max_dim, the first factor of the smaller dimension.
 
     Lemma: both factors of a distinguished product are sums of distinct
-    V(2h).  :func:`hesselink.grow_bilinear` adds a piece (a, c1*c2*m, e)
+    V(2h).  :func:`hesselink.tensor_bilinear` merges a piece (a, c1*c2*m, e)
     for each piece (a, m, e) of the product of a summand V(d)^c1 or W(d)^c1
     of one factor with a summand V(d')^c2 or W(d')^c2 of the other; m is even
     and at least 2, and only V x V pieces carry tag 1.  A distinguished class

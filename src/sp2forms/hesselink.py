@@ -21,6 +21,7 @@ from .jordan import (
     _scan_terms,
     _tensor_blocks,
     gcd_valuation,
+    grow_product,
     nu2,
     restrict_power,
     unique_odd_block,
@@ -185,51 +186,33 @@ def v_product_tag(h1: int, h2: int) -> int:
     return unique_odd_block(h1 >> a, h2 >> a) << (a + 1) if nu2(h2) == a else 0
 
 
-def grow_bilinear(
-    square: dict[int, int], tagged: set[int], factor: Iterable[tuple[int, int, int]], d: int, m: int, e: int
-) -> None:
-    """S x (P + d_e^m) = S x P + S x d_e^m, for the fixed factor S with entries ``factor``.
-
-    Each pair of entries adds its product's multiplicities to ``square`` and
-    its tagged size, if any, to ``tagged``.  Any hyperbolic factor makes the
-    product hyperbolic: W(a) x V(b) and W(a) x W(b) are 2 and 4 copies of the
-    blocks of a x b, untagged, and an untagged entry of multiplicity m holds
-    m/2 copies of W(a), so a pair of entries adds m1 m copies of d1 x d.  Two
-    tagged single blocks V(2h1) x V(2h2) give the blocks of h1 x h2 doubled in
-    size and in multiplicity, all untagged except the one size whose halved
-    value shares the 2-adic valuation of both factors (:func:`v_product_tag`).
-    """
-    get = square.get
-    h = d >> 1
-    for d1, m1, e1 in factor:
-        k = m1 * m
-        if e1 and e:
-            h1 = d1 >> 1
-            inner = _tensor_blocks(h1, h) if h1 <= h else _tensor_blocks(h, h1)
-            if tag := v_product_tag(h1, h):
-                # tag = 2 dj, and dj has 2^a copies for the shared valuation a
-                mult = dict(inner).get(tag >> 1, 0)
-                if mult != (tag & -tag) >> 1:
-                    raise RuntimeError(f"tagged block of {d1} x {d} has multiplicity {mult}")
-                tagged.add(tag)
-            k *= 2
-            for a, c in inner:
-                square[2 * a] = get(2 * a, 0) + k * c
-        else:
-            for a, c in _tensor_blocks(d1, d) if d1 <= d else _tensor_blocks(d, d1):
-                square[a] = get(a, 0) + k * c
-
-
 def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
     """Class of the tensor product of two symplectic classes.
 
-    Grown one entry of s2 at a time by :func:`grow_bilinear`, which adds each
-    pair of entries in place; the tag of a size is set when any pair tags it.
+    Its Jordan type is the product of the two, grown one entry of s2 at a
+    time by :func:`jordan.grow_product`; only the tags are computed here.  Any
+    hyperbolic factor makes a pair's product hyperbolic: W(a) x V(b) and
+    W(a) x W(b) are 2 and 4 copies of the blocks of a x b, untagged.  Two
+    tagged single blocks V(2h1) x V(2h) give the blocks of h1 x h doubled in
+    size and in multiplicity, which are exactly the blocks of 2h1 x 2h, since
+    each branch of the ``_tensor_blocks`` recursion (power of two, m + n > q,
+    reflection) commutes with doubling both sizes.  All are untagged except
+    the one size whose halved value shares the 2-adic valuation of both
+    factors (:func:`v_product_tag`); a size is tagged when any pair tags it.
     """
+    factor = [(d, m) for d, m, _ in s1.entries]
+    tagged_sizes = [d1 for d1, _, e1 in s1.entries if e1]
     square: dict[int, int] = {}
     tagged: set[int] = set()
     for d, m, e in s2.entries:
-        grow_bilinear(square, tagged, s1.entries, d, m, e)
+        grow_product(square, factor, d, m)
+        for d1 in tagged_sizes if e else ():
+            if tag := v_product_tag(d1 >> 1, d >> 1):
+                # tag = dj << (a + 1) for odd dj and the shared valuation a, with 2^(a+1) copies
+                mult = dict(_tensor_blocks(d1, d) if d1 <= d else _tensor_blocks(d, d1)).get(tag, 0)
+                if mult != tag & -tag:
+                    raise RuntimeError(f"tagged block of {d1} x {d} has multiplicity {mult}")
+                tagged.add(tag)
     return SymplecticType(_tag(square, tagged))
 
 

@@ -380,9 +380,9 @@ def wedge_square(j: JordanType) -> JordanType:
 
 # Square growth: each step adds in place to the Jordan multiplicities of a
 # square of a prefix P what m more blocks of size d contribute.  tensor,
-# wedge_square and the rules of reps fold them over their blocks; the
-# partition search of distinguished grows partial tensor and wedge squares
-# one size at a time.
+# wedge_square, hesselink.tensor_bilinear and the rules of reps fold them over
+# their blocks; the partition search of distinguished grows partial tensor and
+# wedge squares one size at a time.
 
 
 def square_multiplicities(grow, blocks) -> dict[int, int]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sp2forms import cli, distinguished, hesselink
+from sp2forms import cli, distinguished
 from sp2forms.distinguished import (
     _distinct_v_sums,
     _search,
@@ -23,7 +23,7 @@ from sp2forms.enumeration import (
     symplectic_partitions,
     symplectic_types,
 )
-from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, orthogonal_sum, tensor_bilinear, vtype
+from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, orthogonal_sum, tensor_bilinear, vtype, wtype
 from sp2forms.jordan import JordanType, grow_product, grow_tensor_square, grow_wedge_square, tensor, wedge_square
 from sp2forms.reps import dual_tensor_classes, wedge_square_classes
 
@@ -422,15 +422,12 @@ class TestSearch:
         # the pair sweep's lemma rests on this: every piece of a product of two indecomposables
         # has even multiplicity at least 2, and only V x V pieces carry tag 1
         kinds = [("V", d) for d in range(2, 33, 2)] + [("W", d) for d in range(1, 33)]
-        entry = {"V": lambda d: (d, 1, 1), "W": lambda d: (d, 2, 0)}  # one copy of V(d) or of W(d)
+        piece = {"V": vtype, "W": wtype}  # one copy of V(d) or of W(d)
         for kind1, d1 in kinds:
             for kind2, d2 in kinds:
                 if d1 * d2 > 64:
                     continue
-                square, tagged = {}, set()
-                hesselink.grow_bilinear(square, tagged, (entry[kind1](d1),), *entry[kind2](d2))
-                assert tagged <= square.keys()
-                pieces = [(a, m, int(a in tagged)) for a, m in square.items()]
+                pieces = tensor_bilinear(piece[kind1](d1), piece[kind2](d2)).entries
                 dims = (d1 * (1 + (kind1 == "W")), d2 * (1 + (kind2 == "W")))
                 assert sum(a * m for a, m, _ in pieces) == dims[0] * dims[1]
                 for a, m, e in pieces:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sp2forms import hesselink
 from sp2forms.hesselink import (
     EpsilonTaggedType,
     SymplecticConstraintError,
@@ -269,6 +270,12 @@ class TestTensorBilinear:
     @example(S("1_0^2,4_1,6_0^2,8_1^3"), S("2_1^3,5_0^4,12_1"))
     def test_agrees_with_the_piecewise_reference(self, s1, s2):
         assert tensor_bilinear(s1, s2) == reference_tensor_bilinear(s1, s2)
+
+    def test_tagged_block_multiplicity_is_checked(self, monkeypatch):
+        # a tag size that V(2) x V(2) does not hold twice is reported, not tagged
+        monkeypatch.setattr(hesselink, "v_product_tag", lambda h1, h2: 4)
+        with pytest.raises(RuntimeError, match=r"^tagged block of 2 x 2 has multiplicity 0$"):
+            tensor_bilinear(vtype(2), vtype(2))
 
 
 class TestRestrictInduce:

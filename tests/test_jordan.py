@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sp2forms.jordan import (
     JordanType,
     ParseError,
+    _tensor_blocks,
     consecutive_ones,
     induce_power,
     nu2,
@@ -142,6 +143,13 @@ class TestTensor:
         for m in range(1, 17):
             for n in range(m, 17):
                 assert tensor_blocks(m, n).total_blocks() == m
+
+    def test_doubling_both_sizes_doubles_the_blocks(self):
+        # J_2a x J_2b is J_a x J_b with sizes and multiplicities doubled; tensor_bilinear reads
+        # the blocks of V(2h1) x V(2h) at full size on the strength of this
+        for a in range(1, 257):
+            for b in range(a, 257):
+                assert _tensor_blocks(2 * a, 2 * b) == tuple((2 * d, 2 * c) for d, c in _tensor_blocks(a, b)), (a, b)
 
 
 def _minimal_alternating_length(n, max_exp=8):
