@@ -38,10 +38,12 @@ from .reps import dual_tensor_classes, wedge_square_classes
 
 # Caps on the distinguished sweep bounds, which drive time and memory.  At the
 # caps, in four runs at a later commit on the same host type, the command
-# takes 2.1-2.3 s and 60 MB: the wedge sweep 0.15 s, the one pass giving both
-# dual-tensor reports 0.035 s (most of both is the closed class count), and
-# the pair sweep 1.7-1.9 s.  The pair sweep grows with its hit count: an
-# earlier session measured 16 s and 207 MB at --max-dim 500.
+# takes 3.0-3.7 s and 59 MB: the wedge sweep 0.18-0.28 s, the one pass giving
+# both dual-tensor reports 0.04-0.05 s (nearly all of both is the closed
+# class count; their searches never try a part above 6 or 12), and the pair
+# sweep 2.5-3.3 s.  That session ran slow: its parent commit took 2.9-3.5 s.
+# The pair sweep grows with its hit count: an earlier session measured 16 s
+# and 207 MB at --max-dim 500.
 MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 

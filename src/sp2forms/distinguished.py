@@ -9,7 +9,10 @@ for the expected short lists of inputs.  They do so with pruned searches
 (:func:`_search`, one search over the partitions of every dimension up to
 the bound, and :func:`_distinct_v_sums` for the pair sweep): a class is
 only handed to the rules engine while its image can still be distinguished.
-Both dual-tensor reports come from one such pass, :func:`verify_prop_A`.
+The single-class searches try no part above 6 (tensor square) or 12 (wedge
+square), the largest a surviving partition can have at any bound, as the
+lemmas in :func:`_search` show.  Both dual-tensor reports come from one such
+pass, :func:`verify_prop_A`.
 What a sweep covers, every class or pair in range, is counted in closed
 form by :func:`enumeration.class_counts`.
 """
@@ -126,10 +129,17 @@ def _within_subquotient_reach(square: Square) -> bool:
     return True
 
 
+# The largest part of a partition whose tensor square (wedge square) passes
+# _within_subquotient_reach: Lemmas T and W in _search.
+TENSOR_SQUARE_PARTS = 6
+WEDGE_SQUARE_PARTS = 12
+
+
 def _search(
     max_dim: int,
     grow: Callable[[Square, list[tuple[int, int]], int, int], None],
     symplectic: bool = False,
+    largest: int | None = None,
 ) -> list[list[tuple[Partition, Square]]]:
     """Depth-first search over the partitions of every dimension 0..max_dim, pruned by a monotone rule.
 
@@ -165,6 +175,30 @@ def _search(
     passes has only sub-multisets that pass.  So a partition of n is a leaf
     exactly when its square passes, whatever max_dim is.
 
+    With ``largest`` the root tries no size above it.  That drops no leaf
+    when every partition with a larger part fails: :data:`TENSOR_SQUARE_PARTS`
+    for the tensor square and :data:`WEDGE_SQUARE_PARTS` for the wedge
+    square, by the two lemmas below.  The square of a partition with a part
+    d contains d x d (or wedge^2 d), and the rule's failures are
+    upward-closed, so it suffices that the single-block square fails.
+
+    Lemma T: d x d fails for every d >= 7.  Let 2^k <= d < q = 2^(k+1), as
+    in :func:`jordan._tensor_blocks`.  When d = 2^k >= 8, d x d is d blocks
+    of size d.  Otherwise it is (q - d) x (q - d) plus 2d - q blocks of size
+    q, more than 4 once d >= 2^k + 3; for d = 2^k + 1 or 2^k + 2 the part
+    (q - d) x (q - d) fails by induction once k >= 4 (q - d >= 14).  The
+    base cases are d = 7..16.
+
+    Lemma W: wedge^2 d fails for every d >= 13.  Let q/2 < d <= q, q a power
+    of two, as in :func:`jordan._wedge_block`: wedge^2 d is wedge^2 (q - d)
+    plus d - q/2 - 1 blocks of size q and one block of size 3q/2 - d.  For
+    odd d that last size is odd and at least 3.  The multiplicity of q is
+    above 4 once d >= q/2 + 6.  Otherwise d is even and the part
+    wedge^2 (q - d) fails by induction once q >= 64 (q - d >= 27).  The base
+    cases are d <= 32; of them only d = 20 needs the direct check, since it
+    contains wedge^2 12, which passes.  ``tests/test_distinguished.py``
+    checks both lemmas for every d up to 4096.
+
     Why each dimension comes in table order.  Two partitions of one n are
     never prefixes of each other, so the leaves of dimension n are met in
     the order of their first differing (size, multiplicity) choice: the
@@ -178,11 +212,12 @@ def _search(
     each with its square.
     """
     top = max(max_dim, 0)
+    first = (top if largest is None else largest) + 1
     leaves: list[list[tuple[Partition, Square]]] = [[] for _ in range(top + 1)]
 
     def visit(prefix: list[tuple[int, int]], square: Square, rest: int) -> None:
         leaves[top - rest].append((tuple(reversed(prefix)), square))
-        below = prefix[-1][0] if prefix else rest + 1
+        below = prefix[-1][0] if prefix else first
         for d in range(min(below - 1, rest), 0, -1):
             kept: list[Square] = []  # kept[m - 1] is the square with m blocks of size d
             for m in range(1, rest // d + 1):
@@ -219,7 +254,7 @@ def verify_prop_A(max_n: int) -> tuple[SweepReport, SweepReport]:
         (SweepReport("dual-irreducible-distinguished", checked),
          [JordanType(((n, 1),)) for n in (2, 3, 5) if n <= max_n]),
     ]
-    for leaves in _search(max_n, grow_tensor_square)[2:]:
+    for leaves in _search(max_n, grow_tensor_square, False, TENSOR_SQUARE_PARTS)[2:]:
         for p, _ in leaves:
             j = JordanType(p)
             try:
@@ -341,7 +376,7 @@ def verify_prop_C(max_n: int) -> SweepReport:
     report = SweepReport(name="wedge-distinguished")
     start = time.perf_counter()
     report.checked = sum(class_counts(2 * max_n, True)[4::2])
-    leaves = _search(2 * max_n, grow_wedge_square, True)
+    leaves = _search(2 * max_n, grow_wedge_square, True, WEDGE_SQUARE_PARTS)
     for n in range(2, max_n + 1):
         expected_wedge = [vtype(4)] if n == 2 else []
         expected_irr = []

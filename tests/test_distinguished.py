@@ -24,7 +24,16 @@ from sp2forms.enumeration import (
     symplectic_types,
 )
 from sp2forms.hesselink import EpsilonTaggedType, SymplecticType, orthogonal_sum, tensor_bilinear, vtype, wtype
-from sp2forms.jordan import JordanType, grow_product, grow_tensor_square, grow_wedge_square, tensor, wedge_square
+from sp2forms.jordan import (
+    JordanType,
+    _tensor_blocks,
+    _wedge_block,
+    grow_product,
+    grow_tensor_square,
+    grow_wedge_square,
+    tensor,
+    wedge_square,
+)
 from sp2forms.reps import dual_tensor_classes, wedge_square_classes
 
 E = EpsilonTaggedType.parse
@@ -170,6 +179,34 @@ class TestSweeps:
         assert cli.main(["distinguished", "--max-n", "22", "--max-dim", "44"]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
         assert calls == {"_search": 2, "dual_tensor_classes": 8}
+
+    @staticmethod
+    def _rule_checks(monkeypatch):
+        """A counter of the calls to the search's rule, installed for the rest of the test."""
+        checks = [0]
+        real = distinguished._within_subquotient_reach
+
+        def counted(square):
+            checks[0] += 1
+            return real(square)
+
+        monkeypatch.setattr(distinguished, "_within_subquotient_reach", counted)
+        return checks
+
+    def test_search_work_at_the_benchmark_bounds(self, capsys, monkeypatch):
+        # the searches start at the largest parts of Lemmas T and W (157 rule checks without them)
+        checks = self._rule_checks(monkeypatch)
+        assert cli.main(["distinguished", "--max-n", "22", "--max-dim", "44"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+        assert checks == [109]
+
+    def test_search_work_at_the_cap(self, monkeypatch):
+        # the same work at the cap of 1000 (3,091 checks without the lemmas): past the
+        # largest survivor, the bound no longer drives the searches
+        checks = self._rule_checks(monkeypatch)
+        verify_prop_A(1000)
+        verify_prop_C(1000)
+        assert checks == [109]
 
     def test_missing_expected_hits_are_reported(self, monkeypatch):
         # a sweep that sees none of its expected classes says so, with a command to rerun each
@@ -333,9 +370,11 @@ class TestAgainstExhaustive:
     @pytest.mark.parametrize("max_n", [2, 3, 6, 10, 12])
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_wedge_sweep(self, max_n, exhaustive, monkeypatch):
-        # exhaustive: the search's rule switched off, so every class in range is evaluated
+        # exhaustive: the search's rule and the part bound it proves (Lemma W) switched off,
+        # so every class in range is evaluated
         if exhaustive:
             monkeypatch.setattr(distinguished, "_within_subquotient_reach", lambda square: True)
+            monkeypatch.setattr(distinguished, "WEDGE_SQUARE_PARTS", 2 * max_n)
         report = verify_prop_C(max_n)
         _same_report(report, _reference_C(max_n))
         assert (report.evaluated == report.checked) is exhaustive
@@ -409,6 +448,34 @@ class TestSearch:
     def test_wedge_search_against_exhaustive(self, max_dim):
         want = self._passing(max_dim, symplectic_partitions, wedge_square)
         assert _search(max_dim, grow_wedge_square, symplectic=True) == want
+
+    def test_single_block_squares_bound_the_parts(self):
+        # the base cases of Lemmas T and W, and past them: a single block's square passes the rule
+        # only up to the search's largest parts, for every size the wedge search reaches at the cap
+        top = 4096
+        assert 2 * cli.MAX_N_CAP <= top
+        tensors = [d for d in range(1, top + 1) if _within_subquotient_reach(dict(_tensor_blocks(d, d)))]
+        wedges = [d for d in range(1, top + 1) if _within_subquotient_reach(dict(_wedge_block(d)))]
+        assert tensors == [1, 2, 3, 4, 5, 6]
+        assert wedges == [1, 2, 4, 6, 8, 10, 12]
+        assert (distinguished.TENSOR_SQUARE_PARTS, distinguished.WEDGE_SQUARE_PARTS) == (tensors[-1], wedges[-1])
+
+    @pytest.mark.parametrize("max_dim", [-4, 0, 1, 7, 30, 60])
+    def test_tensor_search_from_its_largest_part(self, max_dim):
+        assert _search(max_dim, grow_tensor_square, False, 6) == _search(max_dim, grow_tensor_square)
+
+    @pytest.mark.parametrize("max_dim", [-4, 0, 4, 14, 40, 120])
+    def test_wedge_search_from_its_largest_part(self, max_dim):
+        assert _search(max_dim, grow_wedge_square, True, 12) == _search(max_dim, grow_wedge_square, True)
+
+    def test_part_bounds_are_tight(self):
+        # one less and the single blocks (6) and (12), which survive, are lost
+        full = _search(30, grow_tensor_square)
+        assert ((6, 1),) in [p for p, _ in full[6]]
+        assert _search(30, grow_tensor_square, False, 5) != full
+        full = _search(40, grow_wedge_square, True)
+        assert ((12, 1),) in [p for p, _ in full[12]]
+        assert _search(40, grow_wedge_square, True, 11) != full
 
     def test_product_class_has_the_product_jordan_type(self):
         # forgetting the tags of tensor_bilinear gives the Jordan-level product tensor(j1, j2)
