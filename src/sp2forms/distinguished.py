@@ -199,6 +199,14 @@ def _search(
     contains wedge^2 12, which passes.  ``tests/test_distinguished.py``
     checks both lemmas for every d up to 4096.
 
+    Multiplicity bounds: two blocks of one size d fail the tensor rule, and
+    three the wedge rule, as their squares hold 4 or 3 copies of d x d.  For
+    odd d, its odd block is d ^ d ^ 1 = 1 (:func:`jordan.unique_odd_block`),
+    so size 1 goes over 2.  For even d, every size goes over 2, and d x d
+    has d blocks (:func:`jordan.tensor_blocks`): two sizes go over 2, or one
+    over 4.  So a survivor has distinct parts <= 6 (dimension <= 21), or
+    parts <= 12 of multiplicity <= 2 (dimension <= 156).
+
     Why each dimension comes in table order.  Two partitions of one n are
     never prefixes of each other, so the leaves of dimension n are met in
     the order of their first differing (size, multiplicity) choice: the

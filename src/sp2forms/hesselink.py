@@ -22,9 +22,7 @@ from .jordan import (
     _tensor_blocks,
     gcd_valuation,
     grow_product,
-    nu2,
     restrict_power,
-    unique_odd_block,
 )
 
 
@@ -176,14 +174,14 @@ def _tag(square: dict[int, int], tagged: set[int]) -> tuple[tuple[int, int, int]
     return tuple([(d, m, 1 if d in tagged else 0) for d, m in sorted(square.items())])
 
 
-def v_product_tag(h1: int, h2: int) -> int:
-    """The tagged size of V(2 h1) x V(2 h2), or 0 when it has none.
+def v_product_tag(d1: int, d2: int) -> int:
+    """The tagged size of V(d1) x V(d2): d1 ^ d2 ^ low when d1 and d2 share their lowest set bit low, else 0.
 
-    When h1 and h2 share the 2-adic valuation a, it is the block of h1 x h2
-    with odd part unique_odd_block(h1 >> a, h2 >> a), doubled in size.
+    Then d1 x d2 is (d1 / low) x (d2 / low), of odd sizes, scaled in size and
+    multiplicity by low, and the tag is its odd block (:func:`jordan.unique_odd_block`).
     """
-    a = nu2(h1)
-    return unique_odd_block(h1 >> a, h2 >> a) << (a + 1) if nu2(h2) == a else 0
+    low = d1 & -d1
+    return d1 ^ d2 ^ low if d2 & -d2 == low else 0
 
 
 def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
@@ -193,12 +191,12 @@ def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
     time by :func:`jordan.grow_product`; only the tags are computed here.  Any
     hyperbolic factor makes a pair's product hyperbolic: W(a) x V(b) and
     W(a) x W(b) are 2 and 4 copies of the blocks of a x b, untagged.  Two
-    tagged single blocks V(2h1) x V(2h) give the blocks of h1 x h doubled in
-    size and in multiplicity, which are exactly the blocks of 2h1 x 2h, since
+    tagged single blocks V(d1) x V(d), d1 = 2h1 and d = 2h, give the blocks
+    of h1 x h doubled in size and multiplicity, exactly the blocks of d1 x d:
     each branch of the ``_tensor_blocks`` recursion (power of two, m + n > q,
     reflection) commutes with doubling both sizes.  All are untagged except
-    the one size whose halved value shares the 2-adic valuation of both
-    factors (:func:`v_product_tag`); a size is tagged when any pair tags it.
+    d1 ^ d ^ low, of multiplicity low, when d1 and d share their lowest set
+    bit low (:func:`v_product_tag`); a size is tagged when any pair tags it.
     """
     factor = [(d, m) for d, m, _ in s1.entries]
     tagged_sizes = [d1 for d1, _, e1 in s1.entries if e1]
@@ -207,8 +205,8 @@ def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
     for d, m, e in s2.entries:
         grow_product(square, factor, d, m)
         for d1 in tagged_sizes if e else ():
-            if tag := v_product_tag(d1 >> 1, d >> 1):
-                # tag = dj << (a + 1) for odd dj and the shared valuation a, with 2^(a+1) copies
+            if tag := v_product_tag(d1, d):
+                # the tag has low = tag & -tag copies
                 mult = dict(_tensor_blocks(d1, d) if d1 <= d else _tensor_blocks(d, d1)).get(tag, 0)
                 if mult != tag & -tag:
                     raise RuntimeError(f"tagged block of {d1} x {d} has multiplicity {mult}")

@@ -101,9 +101,6 @@ class JordanType(Value):
     def dimension(self) -> int:
         return sum(d * m for d, m in self.blocks)
 
-    def total_blocks(self) -> int:
-        return sum(m for _, m in self.blocks)
-
     def expand(self) -> tuple[int, ...]:
         """All block sizes listed with multiplicity, ascending."""
         return tuple(d for d, m in self.blocks for _ in range(m))
@@ -229,9 +226,6 @@ class ConsecutiveOnesExpansion(Value):
     def exponents(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.terms)
 
-    def powers(self) -> tuple[int, ...]:
-        return tuple(1 << e for _, e in self.terms)
-
     def __str__(self) -> str:
         parts = []
         for i, (s, e) in enumerate(self.terms):
@@ -269,12 +263,6 @@ def consecutive_ones(n: int) -> ConsecutiveOnesExpansion:
     return ConsecutiveOnesExpansion(tuple(terms))
 
 
-@lru_cache(maxsize=None)
-def consecutive_ones_powers(n: int) -> frozenset[int]:
-    """The powers of two larger than 1 appearing in the expansion of n."""
-    return frozenset(p for p in consecutive_ones(n).powers() if p > 1)
-
-
 # Cached per ordered pair; every caller passes the smaller size first, so
 # each unordered pair takes one entry.
 @lru_cache(maxsize=None)
@@ -299,6 +287,11 @@ def tensor_blocks(m: int, n: int) -> JordanType:
     Recursion on the least power of two above max(m, n): either the product
     splits off full-size blocks, reflects through the power of two, or the
     larger factor is itself a power of two and the answer is immediate.
+
+    It has min(m, n) blocks, by induction on the larger factor (m <= n,
+    2^k <= n < q = 2^(k+1)).  If n = 2^k, it is m blocks of size n.  If
+    m + n > q, it is (q - n) x (q - m), of q - n blocks, and m + n - q
+    blocks of size q.  Otherwise it is m x (q - n), of m blocks, reflected.
     """
     if m < 1 or n < 1:
         raise ValueError(f"block sizes must be positive, got ({m}, {n})")
@@ -331,17 +324,18 @@ def tensor_square_closed(n: int) -> JordanType:
 
 
 def unique_odd_block(m: int, n: int) -> int:
-    """The unique odd block size in the tensor product of odd-size blocks.
+    """The unique odd block size in the tensor product of odd-size blocks, m ^ n ^ 1, of multiplicity one.
 
-    Found by scanning the computed decomposition; its multiplicity is
-    checked to be one.
+    By induction on :func:`_tensor_blocks` (m <= n, 2^k <= n < q = 2^(k+1)),
+    as q - x = (q - 1) ^ x ^ 1 for odd x < q.  If n = 2^k, m = n = 1.  If
+    m + n > q, blocks of the even size q join (q - n) x (q - m), whose odd
+    block is (q - n) ^ (q - m) ^ 1 = m ^ n ^ 1.  Otherwise each size x of
+    m x (q - n) reflects to q - x, keeping parity and multiplicity, and
+    q - (m ^ (q - n) ^ 1) = (q - 1) ^ m ^ (q - n) = m ^ n ^ 1.
     """
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError(f"unique_odd_block requires odd block sizes, got ({m}, {n})")
-    odd = [(d, c) for d, c in (_tensor_blocks(m, n) if m <= n else _tensor_blocks(n, m)) if d % 2]
-    if len(odd) != 1 or odd[0][1] != 1:
-        raise RuntimeError(f"expected exactly one odd block of multiplicity 1 in {m} x {n}, got {odd}")
-    return odd[0][0]
+    return m ^ n ^ 1
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,8 @@ from .hesselink import EpsilonTaggedType, SymplecticType, _tag, alpha_of, v_prod
 from .jordan import (
     JordanType,
     Value,
+    _tensor_blocks,
     _wedge_block,
-    consecutive_ones_powers,
     gcd_valuation,
     grow_tensor_square,
     grow_wedge_square,
@@ -98,9 +98,13 @@ def _subquotient(
 
 
 @lru_cache(maxsize=None)
-def _wedge_sizes(d: int) -> frozenset[int]:
-    """The sizes above 1 in the exterior square of one block of size d: the tags of a V(d) summand."""
-    return frozenset([sz for sz, _ in _wedge_block(d) if sz > 1])
+def _own_tags(d: int, e: int) -> frozenset[int]:
+    """The tags of a summand on its own square: the sizes above 1 of wedge^2 J_d for V(d) (e = 1), else of J_d x J_d.
+
+    J_d x J_d stands for W(d) or a Jordan block d.  Its sizes are the powers
+    of two of the consecutive-ones expansion of d (:func:`jordan.tensor_square_closed`).
+    """
+    return frozenset([sz for sz, _ in (_wedge_block(d) if e else _tensor_blocks(d, d)) if sz > 1])
 
 
 def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
@@ -109,7 +113,8 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     The Jordan type of the big space is the tensor square of j (every module
     here is self-dual), grown one block size at a time.  A size is tagged
     exactly when it is a power of two larger than one appearing in the
-    consecutive-ones expansion of some block size of j.  The subquotient
+    consecutive-ones expansion of some block size d of j: a size above 1 of
+    J_d x J_d, read from that square by :func:`_own_tags`.  The subquotient
     follows the fixed-vector rules of :func:`_subquotient`.
     """
     n = j.dimension()
@@ -117,9 +122,7 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
         raise ValueError(f"need a non-empty type of dimension at least 2, got dimension {n}")
     lam = square_multiplicities(grow_tensor_square, j.blocks)
     alpha = gcd_valuation(j.sizes())
-    tagged: set[int] = set()
-    for d, _ in j.blocks:
-        tagged |= consecutive_ones_powers(d)
+    tagged = set().union(*[_own_tags(d, 0) for d, _ in j.blocks])
     lam_sub, tagged_sub = _subquotient(lam, tagged, n, alpha, "tensor")
     full = EpsilonTaggedType(_tag(lam, tagged))
     irr = SymplecticType(_tag(lam_sub, tagged_sub))
@@ -132,12 +135,13 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     Inputs are symplectic class data; sizes with eps = 1 enter the size
     bookkeeping at half their value.  The Jordan type of the wedge square
     is grown one block size at a time.  A size of the wedge square is tagged
-    when it comes from the consecutive-ones powers of a hyperbolic summand,
-    from the wedge of a tagged single-block summand, or from the cross term
-    of two tagged summands sharing a 2-adic valuation.  The subquotient
-    follows :func:`_subquotient`, except at 2^alpha (n even, alpha > 0):
-    always tagged on the square, it survives tagged only via a hyperbolic
-    summand of that exact valuation.
+    when it comes from the consecutive-ones powers of a hyperbolic summand
+    or the wedge of a tagged single-block summand, both read from the
+    summand's own square (:func:`_own_tags`), or from the cross term of two
+    tagged summands sharing a 2-adic valuation (:func:`hesselink.v_product_tag`).
+    The subquotient follows :func:`_subquotient`, except at 2^alpha (n even,
+    alpha > 0): always tagged on the square, it survives tagged only via a
+    hyperbolic summand of that exact valuation.
     """
     dim = s.dimension()
     if dim < 4:
@@ -146,17 +150,11 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     alpha = alpha_of(s)
     lam = square_multiplicities(grow_wedge_square, [(d, m) for d, m, _ in s.entries])
 
-    tagged: set[int] = set()
-    v_halves = []
-    for d, m, e in s.entries:
-        if e:
-            tagged |= _wedge_sizes(d)
-            v_halves.append((d >> 1, m))
-        else:
-            tagged |= consecutive_ones_powers(d)
-    for i, (h1, m1) in enumerate(v_halves):
-        for h2, _ in v_halves[i + (m1 < 2):]:  # a summand meets itself only when it has two copies
-            if tag := v_product_tag(h1, h2):
+    tagged = set().union(*[_own_tags(d, e) for d, _, e in s.entries])
+    v_sizes = [(d, m) for d, m, e in s.entries if e]
+    for i, (d1, m1) in enumerate(v_sizes):
+        for d2, _ in v_sizes[i + (m1 < 2):]:  # a summand meets itself only when it has two copies
+            if tag := v_product_tag(d1, d2):
                 tagged.add(tag)
 
     lam_sub, tagged_sub = _subquotient(lam, tagged, n, alpha, "wedge")

@@ -25,10 +25,9 @@ from sp2forms.jordan import (
     nu2,
     tensor_blocks,
     tensor_square_closed,
-    unique_odd_block,
     wedge_block,
 )
-from test_jordan import odd_block_from_binary_digits
+from test_jordan import _reference_unique_odd_block, odd_block_from_binary_digits
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -186,7 +185,7 @@ def test_criterion_8_block_level_laws():
         problems.append(f"multiplicity-two set is {small}")
     for m in range(1, 514, 2):
         for n in range(m, 514, 2):
-            if odd_block_from_binary_digits(m, n) != unique_odd_block(m, n):
+            if odd_block_from_binary_digits(m, n) != _reference_unique_odd_block(m, n):
                 problems.append(f"digit formula at ({m}, {n})")
     elapsed = time.perf_counter() - start
     _report("criterion 8: block-level laws (wedge n<=200, odd scan <=513)", not problems,

@@ -460,6 +460,27 @@ class TestSearch:
         assert wedges == [1, 2, 4, 6, 8, 10, 12]
         assert (distinguished.TENSOR_SQUARE_PARTS, distinguished.WEDGE_SQUARE_PARTS) == (tensors[-1], wedges[-1])
 
+    def test_repeated_blocks_fail(self):
+        # the multiplicity bounds in _search: two blocks of one size fail the tensor rule, three the wedge rule
+        for d in range(1, 4097):
+            tensor_sq, wedge_sq = {}, {}
+            grow_tensor_square(tensor_sq, [], d, 2)
+            grow_wedge_square(wedge_sq, [], d, 3)
+            assert not _within_subquotient_reach(tensor_sq), d
+            assert not _within_subquotient_reach(wedge_sq), d
+
+    def test_searches_end_within_the_multiplicity_bounds(self):
+        # distinct parts <= 6 make at most 21, parts <= 12 twice at most 156; the survivors stop at 7 and 14
+        tensors = _search(21, grow_tensor_square, False, 6)
+        wedges = _search(156, grow_wedge_square, True, 12)
+        assert not any(tensors[8:]) and not any(wedges[15:])
+        assert _search(1000, grow_tensor_square, False, 6) == tensors + [[]] * (1000 - 21)
+        assert _search(2000, grow_wedge_square, True, 12) == wedges + [[]] * (2000 - 156)
+        types = [p for leaves in tensors[2:] for p, _ in leaves]
+        partitions = [p for leaves in wedges[4:] for p, _ in leaves]
+        assert len(types) == 8
+        assert len(partitions) == 12 and sum(len(list(epsilon_variants(p))) for p in partitions) == 13
+
     @pytest.mark.parametrize("max_dim", [-4, 0, 1, 7, 30, 60])
     def test_tensor_search_from_its_largest_part(self, max_dim):
         assert _search(max_dim, grow_tensor_square, False, 6) == _search(max_dim, grow_tensor_square)
@@ -500,3 +521,10 @@ class TestSearch:
                 for a, m, e in pieces:
                     assert m >= 2 and m % 2 == 0, (kind1, d1, kind2, d2, a, m)
                     assert e == 0 or kind1 == kind2 == "V", (kind1, d1, kind2, d2, a)
+
+    def test_distinguished_pieces(self):
+        # the piece table: V(2h) x V(2k) is distinguished exactly when h = 1 and k is odd
+        for h in range(1, 301):
+            for k in range(h, 301):
+                want = h == 1 and k % 2 == 1
+                assert is_distinguished(tensor_bilinear(vtype(2 * h), vtype(2 * k))) == want, (h, k)

@@ -19,7 +19,8 @@ from sp2forms.hesselink import (
     vtype,
     wtype,
 )
-from sp2forms.jordan import ParseError, _tensor_blocks, induce_power, nu2, restrict_power, tensor, unique_odd_block
+from sp2forms.jordan import ParseError, _tensor_blocks, induce_power, nu2, restrict_power, tensor
+from test_jordan import _reference_unique_odd_block
 
 S = SymplecticType.parse
 E = EpsilonTaggedType.parse
@@ -77,7 +78,7 @@ def _reference_pair_product(kind1, d1, kind2, d2):
         if nu2(h1) != nu2(h2):
             return [(2 * a, 2 * c, 0) for a, c in inner]
         alpha = nu2(h1)
-        dj = unique_odd_block(h1 >> alpha, h2 >> alpha) << alpha
+        dj = _reference_unique_odd_block(h1 >> alpha, h2 >> alpha) << alpha
         mult = dict(inner).get(dj, 0)
         if mult != 1 << alpha:
             raise RuntimeError(f"tagged block of {d1} x {d2} has multiplicity {mult}")

@@ -23,11 +23,24 @@ from sp2forms.jordan import (
 J = JordanType.parse
 
 
-def odd_block_from_binary_digits(m: int, n: int) -> int:
-    """Conjectural digit formula for the odd block size of unique_odd_block.
+def _reference_unique_odd_block(m: int, n: int) -> int:
+    """The odd block size of a product of odd-size blocks, scanned from the computed decomposition.
 
-    Stated without proof in the source material; the tests cross-check it
-    against the scan, here and in acceptance criterion 8.
+    Independent of the closed form of unique_odd_block; raises unless there
+    is exactly one odd size, of multiplicity one.
+    """
+    odd = [(d, c) for d, c in (_tensor_blocks(m, n) if m <= n else _tensor_blocks(n, m)) if d % 2]
+    if len(odd) != 1 or odd[0][1] != 1:
+        raise RuntimeError(f"expected exactly one odd block of multiplicity 1 in {m} x {n}, got {odd}")
+    return odd[0][0]
+
+
+def odd_block_from_binary_digits(m: int, n: int) -> int:
+    """Digit formula for the odd block size of unique_odd_block.
+
+    Proved: it XORs the bits of m at positions 1 and up into n, which is
+    n ^ m ^ 1 for odd m and n.  The tests cross-check it against the scan,
+    here and in acceptance criterion 8.
     """
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError(f"requires odd block sizes, got ({m}, {n})")
@@ -140,9 +153,9 @@ class TestTensor:
 
     def test_block_count(self):
         # a product of single blocks has min(m, n) indecomposable summands
-        for m in range(1, 17):
-            for n in range(m, 17):
-                assert tensor_blocks(m, n).total_blocks() == m
+        for m in range(1, 513):
+            for n in range(m, 513):
+                assert sum(c for _, c in _tensor_blocks(m, n)) == m, (m, n)
 
     def test_doubling_both_sizes_doubles_the_blocks(self):
         # J_2a x J_2b is J_a x J_b with sizes and multiplicities doubled; tensor_bilinear reads
@@ -253,10 +266,16 @@ class TestUniqueOddBlock:
                 assert len(odd) == 1 and odd[0][1] == 1
 
     def test_digit_formula_agrees(self):
-        # the closed digit formula is unproven; check it against the scan
+        # the digit formula, checked against the scan of the decomposition
         for m in range(1, 130, 2):
             for n in range(m, 130, 2):
-                assert odd_block_from_binary_digits(m, n) == unique_odd_block(m, n)
+                assert odd_block_from_binary_digits(m, n) == _reference_unique_odd_block(m, n)
+
+    def test_closed_form_matches_the_scan(self):
+        # m ^ n ^ 1 is the one odd size, of multiplicity one (the scan raises otherwise)
+        for m in range(1, 1024, 2):
+            for n in range(m, 1024, 2):
+                assert unique_odd_block(m, n) == _reference_unique_odd_block(m, n), (m, n)
 
 
 class TestWedge:
