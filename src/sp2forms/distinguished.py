@@ -14,7 +14,10 @@ square), the largest a surviving partition can have at any bound, as the
 lemmas in :func:`_search` show.  Both dual-tensor reports come from one such
 pass, :func:`verify_prop_A`.
 What a sweep covers, every class or pair in range, is counted in closed
-form by :func:`enumeration.class_counts`.
+form: by :func:`enumeration.partition_numbers` and
+:func:`enumeration.symplectic_class_total` for the single-class sweeps, from
+Euler's pentagonal theorem, and by :func:`enumeration.class_counts` for the
+pair sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 from collections.abc import Callable
 from math import isqrt
 
-from .enumeration import Partition, class_counts, epsilon_variants
+from .enumeration import Partition, class_counts, epsilon_variants, partition_numbers, symplectic_class_total
 from .hesselink import (
     EpsilonTaggedType,
     SymplecticType,
@@ -253,10 +256,12 @@ def verify_prop_A(max_n: int) -> tuple[SweepReport, SweepReport]:
     :func:`_within_subquotient_reach` on the tensor square, so one
     :func:`_search` to max_n gives the survivors of every dimension, each
     dimension in table order, and one :func:`reps.dual_tensor_classes` call
-    per survivor serves both reports (a raise is a line in each).
+    per survivor serves both reports (a raise is a line in each).  Both
+    count p(2) + ... + p(max_n) types checked, from the pentagonal
+    recurrence of :func:`enumeration.partition_numbers`.
     """
     start = time.perf_counter()
-    checked = sum(class_counts(max_n)[2:])
+    checked = sum(partition_numbers(max_n)[2:])
     sweeps = [  # (report, expected hits)
         (SweepReport("dual-tensor-distinguished", checked), [JordanType(((2, 1),))] if max_n >= 2 else []),
         (SweepReport("dual-irreducible-distinguished", checked),
@@ -379,11 +384,14 @@ def verify_prop_C(max_n: int) -> SweepReport:
     :func:`_search` to 2*max_n on the wedge square, read one dimension at a
     time; every tag choice over a surviving partition is evaluated.  The
     expected classes must show up as hits, so a bug in the search would
-    surface as a counterexample.
+    surface as a counterexample.  ``checked``, the classes of dimension
+    4..2*max_n, is the sum of the coefficients c(2)..c(max_n) of
+    P(y)^2 / P(y^3), P the partition series, by Euler's pentagonal theorem
+    (:func:`enumeration.symplectic_class_total` derives it).
     """
     report = SweepReport(name="wedge-distinguished")
     start = time.perf_counter()
-    report.checked = sum(class_counts(2 * max_n, True)[4::2])
+    report.checked = symplectic_class_total(2 * max_n) - symplectic_class_total(min(2 * max_n, 2))
     leaves = _search(2 * max_n, grow_wedge_square, True, WEDGE_SQUARE_PARTS)
     for n in range(2, max_n + 1):
         expected_wedge = [vtype(4)] if n == 2 else []

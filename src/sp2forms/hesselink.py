@@ -17,6 +17,7 @@ from collections.abc import Iterable
 
 from .jordan import (
     JordanType,
+    TermTexts,
     Value,
     _scan_terms,
     _tensor_blocks,
@@ -24,6 +25,9 @@ from .jordan import (
     grow_product,
     restrict_power,
 )
+
+
+_ENTRY_TEXTS = TermTexts(lambda d, m, e: f"{d:d}_{e:d}^{m:d}" if m > 1 else f"{d:d}_{e:d}")
 
 
 class SymplecticConstraintError(ValueError):
@@ -78,9 +82,13 @@ class EpsilonTaggedType(Value):
         return not self.entries
 
     def __str__(self) -> str:
+        """The ``d_e^m`` comma-separated grammar, ``^1`` omitted; ``0`` for the empty type.
+
+        Each (size, multiplicity, eps) entry's text is looked up in a :class:`jordan.TermTexts`.
+        """
         if not self.entries:
             return "0"
-        return ",".join([f"{d}_{e}^{m}" if m > 1 else f"{d}_{e}" for d, m, e in self.entries])
+        return ",".join(map(_ENTRY_TEXTS.__getitem__, self.entries))
 
     def pretty(self) -> str:
         """Parenthesized rendering matching the published tables, e.g. ``(1_0^2, 2_1)``."""

@@ -70,6 +70,43 @@ class Value(Record):
         return hash(tuple(self.__dict__.values()))
 
 
+# Type strings repeat their terms far more often than whole strings: the
+# seed-0 query stream of perfbench reads 473 distinct terms among 43,705 and,
+# with its two golden tables, prints 4,950 among 140,945.  So each term is
+# read, and each entry printed, once, and looked up after that.  The caches
+# hold only text and integer tuples, never a rule's result, and each stops
+# inserting at TERM_CACHE_SIZE entries, more than that stream puts in any.
+TERM_CACHE_SIZE = 4096
+
+
+class TermTexts(dict):
+    """Printed terms by entry tuple: a missing entry is printed by ``render(*entry)`` and kept while the cache is below TERM_CACHE_SIZE.
+
+    ``render`` prints every field with the ``d`` format, so entries that
+    compare equal, such as ``(2, 1, True)`` and ``(2, 1, 1)``, print the
+    same digits whichever is printed first.
+    """
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, entry):
+        text = self.render(*entry)
+        if len(self) < TERM_CACHE_SIZE:
+            self[entry] = text
+        return text
+
+
+_BLOCK_TEXTS = TermTexts(lambda d, m: f"{d:d}^{m:d}" if m > 1 else f"{d:d}")
+
+# Term text -> entry, one dict per grammar (index 1: tagged), for terms read
+# wholly on the fast path: no spaces, ASCII digits, nonzero size and
+# multiplicity, eps tag "0" or "1".  Such a term reads the same wherever it
+# stands, and a duplicate of it is reported where the term starts.
+_READ_TERMS: tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]] = ({}, {})
+
+
 class JordanType(Value):
     """A multiset of Jordan block sizes, as (size, multiplicity) pairs.
 
@@ -106,9 +143,13 @@ class JordanType(Value):
         return tuple(d for d, m in self.blocks for _ in range(m))
 
     def __str__(self) -> str:
+        """The ``d^m`` comma-separated grammar, ``^1`` omitted; ``0`` for the empty type.
+
+        Each (size, multiplicity) entry's text is looked up in a :class:`TermTexts`.
+        """
         if not self.blocks:
             return "0"
-        return ",".join([f"{d}^{m}" if m > 1 else str(d) for d, m in self.blocks])
+        return ",".join(map(_BLOCK_TEXTS.__getitem__, self.blocks))
 
     def pretty(self) -> str:
         """Parenthesized, space-separated rendering, e.g. ``(1^2, 2)``."""
@@ -135,12 +176,13 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
     """Scan comma-separated ``d^m`` terms, or ``d_e^m`` terms when tagged.
 
     Returns (d, m) or (d, m, e) tuples sorted by size; ``0`` gives the empty
-    tuple.  Terms are cut at ``,``, ``^`` and ``_`` with str methods; a field
-    of bare ASCII digits with a nonzero value is read in place, and any other
-    field goes to :func:`_scan_field`.  Every error is a ParseError at the
-    offending position, the first one met reading left to right, except that
-    a character no term can take is reported after the duplicate size check.
-    No regular expression: compiling one at import would cost start-up time.
+    tuple.  Each term is first looked up by its exact text in the grammar's
+    dict of terms already read; any other term is read by :func:`_read_term`,
+    which stores it when it was read wholly on the fast path.  Every error is
+    a ParseError at the offending position, the first one met reading left to
+    right, except that a character no term can take is reported after the
+    duplicate size check.  No regular expression: compiling one at import
+    would cost start-up time.
     """
     if text[:1] in " (0":  # a space, "(" or "0" first; "" enters too
         inner = text.strip(" ")
@@ -153,37 +195,61 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
                 return ()
             raise ParseError(text, len(text) - len(tail), "unexpected input after '0'")
     ascii_only = text.isascii()  # isdigit() alone takes '²' and '٣'
+    known = _READ_TERMS[tagged]
     terms: dict[int, tuple[int, ...]] = {}
     at = 0
     for term in text.split(","):
-        size, caret, mult = term.partition("^")
-        if tagged:
-            size, under, e = size.partition("_")
+        entry = known.get(term)
         junk = -1  # where a character the term cannot take starts
-        d = int(size) if ascii_only and size.isdigit() else 0
-        if not d:
-            d, junk = _scan_field(text, at, size, "block size")
-        if tagged:
-            if junk < 0 and not under:
-                junk = at + len(size)
-            if junk >= 0:
-                raise ParseError(text, junk, "expected '_' and an eps tag")
-            if e == "0" or e == "1":
-                e = int(e)
-            else:
-                e, junk = _scan_field(text, at + len(size) + 1, e, "eps tag")
-        m = 1
-        if caret and junk < 0:
-            m = int(mult) if ascii_only and mult.isdigit() else 0
-            if not m:
-                m, junk = _scan_field(text, at + len(term) - len(mult), mult, "multiplicity")
+        if entry is None:
+            entry, junk = _read_term(text, at, term, tagged, ascii_only)
+        d = entry[0]
         if d in terms:
-            raise ParseError(text, at + len(size) - len(size.lstrip(" ")), f"duplicate block size {d}")
-        terms[d] = (d, m, e) if tagged else (d, m)
+            raise ParseError(text, at + len(term) - len(term.lstrip(" ")), f"duplicate block size {d}")
+        terms[d] = entry
         if junk >= 0:
             raise ParseError(text, junk, f"expected ',' or end of input, got {text[junk]!r}")
         at += len(term) + 1
     return tuple(sorted(terms.values()))
+
+
+def _read_term(text: str, at: int, term: str, tagged: bool, ascii_only: bool) -> tuple[tuple[int, ...], int]:
+    """Read the term at position ``at`` of ``text``: its entry, and where a character it cannot take starts, or -1.
+
+    Terms are cut at ``^`` and ``_`` with str methods.  A field of bare ASCII
+    digits with a nonzero value is read in place, and any other field goes to
+    :func:`_scan_field`.  A term read wholly in place, with an eps tag of
+    ``0`` or ``1``, is stored in the grammar's dict of terms already read.
+    """
+    size, caret, mult = term.partition("^")
+    if tagged:
+        size, under, e = size.partition("_")
+    junk = -1
+    d = int(size) if ascii_only and size.isdigit() else 0
+    fast = d > 0
+    if not fast:
+        d, junk = _scan_field(text, at, size, "block size")
+    if tagged:
+        if junk < 0 and not under:
+            junk = at + len(size)
+        if junk >= 0:
+            raise ParseError(text, junk, "expected '_' and an eps tag")
+        if e == "0" or e == "1":
+            e = int(e)
+        else:
+            fast = False
+            e, junk = _scan_field(text, at + len(size) + 1, e, "eps tag")
+    m = 1
+    if caret and junk < 0:
+        m = int(mult) if ascii_only and mult.isdigit() else 0
+        if not m:
+            fast = False
+            m, junk = _scan_field(text, at + len(term) - len(mult), mult, "multiplicity")
+    entry = (d, m, e) if tagged else (d, m)
+    known = _READ_TERMS[tagged]
+    if fast and len(known) < TERM_CACHE_SIZE:
+        known[term] = entry
+    return entry, junk
 
 
 def _scan_field(text: str, at: int, field: str, what: str) -> tuple[int, int]:

@@ -1,10 +1,14 @@
 """Tests for the deterministic enumeration used by tables and sweeps."""
 
+from itertools import accumulate
+
 from sp2forms.enumeration import (
     class_counts,
     epsilon_variants,
     jordan_types,
+    partition_numbers,
     partitions,
+    symplectic_class_total,
     symplectic_partitions,
     symplectic_types,
 )
@@ -74,20 +78,6 @@ def test_trivial_exclusion():
     assert str(with_trivial[-1]) == "1^3"
 
 
-def _pentagonal_partition_count(n):
-    """p(n) by Euler's pentagonal number recurrence."""
-    p = [1] + [0] * n
-    for r in range(1, n + 1):
-        k = 1
-        while k * (3 * k - 1) // 2 <= r:
-            sign = 1 if k % 2 else -1
-            p[r] += sign * p[r - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= r:
-                p[r] += sign * p[r - k * (3 * k + 1) // 2]
-            k += 1
-    return p[n]
-
-
 def _coin_change_symplectic_count(n):
     """Symplectic classes of dimension n, counted as coin changes.
 
@@ -114,5 +104,16 @@ def _coin_change_symplectic_count(n):
 
 def test_count_classes_large():
     # no recursion: the counts reach dimensions far past the interpreter's stack limit
-    assert class_counts(3000)[3000] == _pentagonal_partition_count(3000)
+    assert class_counts(3000)[3000] == partition_numbers(3000)[3000]
     assert class_counts(2000, True)[2000] == _coin_change_symplectic_count(2000)
+
+
+def test_pentagonal_counts_match_the_class_counts():
+    # the sweeps' closed counts against the generating-function loop, at every bound to 300 and at 1000 and 2000:
+    # max_n for the plain count, and its dimension 2 * max_n (2000 at the --max-n cap) for the symplectic one
+    plain = class_counts(2000)
+    totals = list(accumulate(class_counts(2000, True)))  # classes of dimension 0..d, summed
+    for n in [*range(-2, 301), 1000, 2000]:
+        assert partition_numbers(n) == plain[:max(n, 0) + 1], n
+    for dim in [*range(-2, 601), 1000, 1999, 2000]:
+        assert symplectic_class_total(dim) == totals[max(dim, 0)], dim

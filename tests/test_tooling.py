@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import sp2forms
+from sp2forms import hesselink, jordan
 
 PACKAGE = Path(sp2forms.__file__).resolve().parent
 
@@ -188,17 +189,22 @@ def test_oracle_check_validates_every_space_and_runs_every_chain(monkeypatch):
 
 
 def test_query_outputs_match_the_benchmark_digest(monkeypatch):
-    # the seed-0 query stream's outputs, hashed, and the golden tables A and C, byte for byte
+    # the seed-0 query stream's outputs, hashed, and the golden tables A and C, byte for byte: first from empty
+    # term caches, then with the caches that run left, so a stored term text cannot change an output
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = _load_perfbench("workloads", monkeypatch)
     stream = workloads.query_inputs(workloads.DEFAULT_SEED)
-    outcome = workloads._run_queries(stream, [])
-    tally = workloads.Tally()
-    workloads._check_queries(workloads.DEFAULT_SEED, stream, outcome, tally)
-    outputs, tables = outcome.output
-    assert len(outputs) == workloads.N_QUERIES == 10000 and len(tables) == 2
-    assert tally.attempted == 10000 + 3  # the queries, the two tables and the digest
-    assert tally.failed == 0, tally.notes
+    for cache in (*jordan._READ_TERMS, jordan._BLOCK_TEXTS, hesselink._ENTRY_TEXTS):
+        cache.clear()
+    for warm in (False, True):
+        outcome = workloads._run_queries(stream, [])
+        tally = workloads.Tally()
+        workloads._check_queries(workloads.DEFAULT_SEED, stream, outcome, tally)
+        outputs, tables = outcome.output
+        assert len(outputs) == workloads.N_QUERIES == 10000 and len(tables) == 2
+        assert tally.attempted == 10000 + 3  # the queries, the two tables and the digest
+        assert tally.failed == 0, (warm, tally.notes)
+        assert jordan._READ_TERMS[0] and hesselink._ENTRY_TEXTS  # the run went through the caches
 
 
 # Modules the command line does not need at start-up; dataclasses alone pulls in inspect, ast, dis and tokenize.
