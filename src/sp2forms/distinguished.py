@@ -347,6 +347,29 @@ def verify_prop_tensor(max_dim: int) -> SweepReport:
     isqrt(max_dim), and the second grow by :func:`_distinct_v_sums` while the
     product is distinguished; ``evaluated`` counts the products computed.
     Hits are sorted by the two dimensions, each factor in table order.
+
+    The family is ``expected`` at every dimension, not just to the bound:
+
+    1. By the Lemma, both factors of a distinguished product are sums of
+       distinct V(2h).
+    2. The product merges one piece per pair of summands, and the piece of
+       V(2h) x V(2k) is the blocks of J_h x J_k, doubled in size and in
+       multiplicity.  So every size of a piece has multiplicity at least 2,
+       and two pieces that share a size give it at least 4.  Hence a
+       distinguished product has pieces with pairwise disjoint sizes, and
+       each piece is distinguished by itself.
+    3. A piece tags at most one size (:func:`hesselink.v_product_tag`), so a
+       distinguished piece has one size, of multiplicity 2, and J_h x J_k is
+       a single block.  J_h x J_k has min(h, k) blocks
+       (:func:`jordan.tensor_blocks`), so min(h, k) = 1; the tag needs equal
+       2-adic valuations, so the other index is odd.
+    4. A factor other than V(2) has a summand V(2h) with h >= 2, since its
+       summands are distinct.  If neither factor were V(2), the piece of two
+       such summands would have min >= 2, so one factor is V(2).  Each
+       summand V(2k) of the other then needs k odd, and the pieces, two
+       blocks of size 2k each, have distinct sizes: the product is
+       distinguished exactly when the other factor is a sum of distinct
+       V(2k) with k odd.
     """
     report = SweepReport(name="bilinear-tensor-distinguished")
     start = time.perf_counter()

@@ -38,6 +38,30 @@ class SymplecticConstraintError(ValueError):
         super().__init__(message)
 
 
+def _check_entries(entries: tuple[tuple[int, int, int], ...]) -> tuple[int, int] | None:
+    """Raise ValueError on the first entry that breaks the tagged-type laws, else return the parity fault.
+
+    The parity fault is the first untagged (size, multiplicity) of odd
+    multiplicity, or None.  It is found in the same pass but only returned,
+    so that any tagged-type error, wherever it stands, comes first.
+    """
+    prev = 0
+    odd = None
+    for d, m, e in entries:
+        if d <= prev:
+            raise ValueError(f"sizes must be positive and strictly increasing, got {d} after {prev}")
+        if m < 1:
+            raise ValueError(f"multiplicity of size {d} must be positive, got {m}")
+        if e not in (0, 1):
+            raise ValueError(f"eps tag of size {d} must be 0 or 1, got {e}")
+        if e == 1 and d % 2:
+            raise ValueError(f"eps = 1 is impossible on odd size {d}")
+        if e == 0 and m % 2 and odd is None:
+            odd = (d, m)
+        prev = d
+    return odd
+
+
 class EpsilonTaggedType(Value):
     """A Jordan type with an epsilon tag per block size.
 
@@ -51,17 +75,7 @@ class EpsilonTaggedType(Value):
 
     def __init__(self, entries: tuple[tuple[int, int, int], ...] = ()):
         object.__setattr__(self, "entries", entries)
-        prev = 0
-        for d, m, e in entries:
-            if d <= prev:
-                raise ValueError(f"sizes must be positive and strictly increasing, got {d} after {prev}")
-            if m < 1:
-                raise ValueError(f"multiplicity of size {d} must be positive, got {m}")
-            if e not in (0, 1):
-                raise ValueError(f"eps tag of size {d} must be 0 or 1, got {e}")
-            if e == 1 and d % 2:
-                raise ValueError(f"eps = 1 is impossible on odd size {d}")
-            prev = d
+        _check_entries(entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpsilonTaggedType):
@@ -76,7 +90,7 @@ class EpsilonTaggedType(Value):
         return JordanType(tuple((d, m) for d, m, _ in self.entries))
 
     def dimension(self) -> int:
-        return sum(d * m for d, m, _ in self.entries)
+        return sum([d * m for d, m, _ in self.entries])
 
     def is_empty(self) -> bool:
         return not self.entries
@@ -120,12 +134,12 @@ class SymplecticType(EpsilonTaggedType):
     """
 
     def __init__(self, entries: tuple[tuple[int, int, int], ...] = ()):
-        EpsilonTaggedType.__init__(self, entries)
-        for d, m, e in entries:
-            if e == 0 and m % 2:
-                raise SymplecticConstraintError(
-                    d, f"size {d} has odd multiplicity {m} with eps = 0; odd multiplicity forces eps = 1"
-                )
+        object.__setattr__(self, "entries", entries)
+        if odd := _check_entries(entries):
+            d, m = odd
+            raise SymplecticConstraintError(
+                d, f"size {d} has odd multiplicity {m} with eps = 0; odd multiplicity forces eps = 1"
+            )
 
 
 def validate_symplectic(t: EpsilonTaggedType) -> SymplecticType:
@@ -179,7 +193,7 @@ def orthogonal_sum(*types: SymplecticType) -> SymplecticType:
 
 def _tag(square: dict[int, int], tagged: set[int]) -> tuple[tuple[int, int, int], ...]:
     """Sorted (size, multiplicity, eps) entries of a multiplicity dict, eps = 1 on the tagged sizes."""
-    return tuple([(d, m, 1 if d in tagged else 0) for d, m in sorted(square.items())])
+    return tuple([(d, square[d], 1 if d in tagged else 0) for d in sorted(square)])
 
 
 def v_product_tag(d1: int, d2: int) -> int:
@@ -214,8 +228,9 @@ def tensor_bilinear(s1: SymplecticType, s2: SymplecticType) -> SymplecticType:
         grow_product(square, factor, d, m)
         for d1 in tagged_sizes if e else ():
             if tag := v_product_tag(d1, d):
-                # the tag has low = tag & -tag copies
-                mult = dict(_tensor_blocks(d1, d) if d1 <= d else _tensor_blocks(d, d1)).get(tag, 0)
+                # the tag has low = tag & -tag copies; sizes in a block tuple are distinct
+                blocks = _tensor_blocks(d1, d) if d1 <= d else _tensor_blocks(d, d1)
+                mult = sum([t for s, t in blocks if s == tag])
                 if mult != tag & -tag:
                     raise RuntimeError(f"tagged block of {d1} x {d} has multiplicity {mult}")
                 tagged.add(tag)
@@ -257,4 +272,4 @@ def induce_bilinear(s: SymplecticType, alpha: int) -> SymplecticType:
 
 def alpha_of(s: SymplecticType) -> int:
     """2-adic valuation of the gcd of block sizes, halving the tagged ones."""
-    return gcd_valuation(d // 2 if e else d for d, _, e in s.entries)
+    return gcd_valuation([d // 2 if e else d for d, _, e in s.entries])

@@ -133,10 +133,10 @@ class JordanType(Value):
         return dict(self.blocks)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.blocks)
+        return tuple([d for d, _ in self.blocks])
 
     def dimension(self) -> int:
-        return sum(d * m for d, m in self.blocks)
+        return sum([d * m for d, m in self.blocks])
 
     def expand(self) -> tuple[int, ...]:
         """All block sizes listed with multiplicity, ascending."""
@@ -365,11 +365,14 @@ def tensor_blocks(m: int, n: int) -> JordanType:
 
 
 def tensor(j1: JordanType, j2: JordanType) -> JordanType:
-    """Jordan type of a tensor product, extended additively from tensor_blocks."""
+    """Jordan type of a tensor product, extended additively from tensor_blocks.
+
+    Every multiplicity is a sum of positive products, so none is zero.
+    """
     out: dict[int, int] = {}
     for d, m in j2.blocks:
         grow_product(out, j1.blocks, d, m)
-    return JordanType.from_dict(out)
+    return JordanType(tuple(sorted(out.items())))
 
 
 def tensor_square_closed(n: int) -> JordanType:
@@ -433,9 +436,10 @@ def wedge_square(j: JordanType) -> JordanType:
 
     Each size d of multiplicity m contributes m exterior squares of a single
     d-block plus C(m, 2) copies of the d x d tensor product; distinct sizes
-    contribute their pairwise tensor products.
+    contribute their pairwise tensor products.  Every multiplicity is a sum
+    of positive products, so none is zero.
     """
-    return JordanType.from_dict(square_multiplicities(grow_wedge_square, j.blocks))
+    return JordanType(tuple(sorted(square_multiplicities(grow_wedge_square, j.blocks).items())))
 
 
 # Square growth: each step adds in place to the Jordan multiplicities of a
@@ -468,20 +472,22 @@ def grow_product(square: dict[int, int], factor: Iterable[tuple[int, int]], d: i
 
 def grow_tensor_square(square: dict[int, int], prefix: Iterable[tuple[int, int]], d: int, m: int) -> None:
     """(P + m.d) x (P + m.d) = P x P + m^2 (d x d) + 2m (P x d)."""
+    get = square.get
     k = m * m
     for s, t in _tensor_blocks(d, d):
-        square[s] = square.get(s, 0) + k * t
+        square[s] = get(s, 0) + k * t
     grow_product(square, prefix, d, 2 * m)
 
 
 def grow_wedge_square(square: dict[int, int], prefix: Iterable[tuple[int, int]], d: int, m: int) -> None:
     """wedge^2 (P + m.d) = wedge^2 P + m wedge^2 d + C(m, 2) (d x d) + m (P x d)."""
+    get = square.get
     for s, t in _wedge_block(d):
-        square[s] = square.get(s, 0) + m * t
+        square[s] = get(s, 0) + m * t
     if m > 1:
         k = m * (m - 1) // 2
         for s, t in _tensor_blocks(d, d):
-            square[s] = square.get(s, 0) + k * t
+            square[s] = get(s, 0) + k * t
     grow_product(square, prefix, d, m)
 
 

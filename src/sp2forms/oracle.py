@@ -11,13 +11,14 @@ that each operator's builder writes in the same pass as its rows.  A matrix
 applies to a vector as the XOR of the columns the vector selects, and
 products XOR whole rows; the oracle's own stages avoid products.  One
 elimination gives ranks, kernels and inverses.  One chain of images of
-X = u - 1, eliminated and walked on in one loop, gives the Jordan type, and
-its dependencies give the kernel layers that the eps tags are read from.
-Invariance of a form is checked on the rows of u^T G u, built from the rows
-of G u; a subquotient is written straight from an explicit basis of the
-perp of its fixed vector, and a wedge square from the rows and columns of u
-and the rows of the Gram matrix, all x ^ y at once.  Dimensions up to a
-few hundred are cheap.
+X = u - 1, eliminated and walked on in one loop with each item's image,
+preimage and vector in slots of their own, gives the Jordan type, and its
+dependencies give the kernel layers that the eps tags are read from.
+Invariance of a form is checked on the rows of u^T G u - G, built from the
+rows of G u and the columns of X; a subquotient is written straight from an
+explicit basis of the perp of its fixed vector, and a wedge square from the
+rows and columns of u and the rows of the Gram matrix, all x ^ y at once.
+Dimensions up to a few hundred are cheap.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
     X^h is the first zero power.  The chain keeps a basis of Im X^k, each
     vector w tagged with a preimage p, so that w = X^k p; it starts from the
     unit vectors at k = 0.  Im X^(k+1) is X applied to Im X^k, so one
-    elimination of the X w, with each tag holding p above w, gives the rank
+    elimination of the items (X w, p, w), each XORed whole, gives the rank
     of X^(k+1) as its number of pivots, and the pivots with their p are a
     basis of Im X^(k+1) tagged as before.  Each dependency is a v = p sum
     with X^(k+1) v = 0 whose X^k v, the matching w sum, is not zero, since
@@ -263,40 +264,48 @@ def _power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
     when they fall to zero, and the chain raises as soon as an elimination
     finds no dependency.  X applied to the unit vector e_j is column j of X,
     which is column j of u with the diagonal bit flipped, so the first
-    elimination takes the columns of X as they are.  Each elimination is
-    :func:`_echelon`'s, fused with the walk of X: a pivot never changes once
+    elimination takes the columns of X as they are.
+
+    Each level keeps its pivots in three lists indexed by highest bit: the
+    reduced X w, its p and its w (``ws``, ``ps``, ``qs``), so an item's
+    three parts are XORed apart and never packed into one tag.  Each
+    elimination is fused with the walk of X: a pivot never changes once
     found, so X is walked over it at once, starting from the column of its
-    highest bit.  It stays fused because a chain that calls :func:`_echelon`
-    on (X w, p, w) items and then walks X took 20-49% longer over the chains
-    of oracle-check 12/8 and 18/10, walking batched or by hand (in-process
-    A/B runs, 2-CPU host).  Pivoting on the highest bit rather than the
-    lowest took 10% off these chains.  Pivots sit in slots by highest bit.
+    highest bit.  It stays fused because a chain that calls
+    :func:`_echelon` on the items and then walks X took 20-49% longer over
+    the chains of oracle-check 12/8 and 18/10 (in-process A/B runs, 2-CPU
+    host).  Pivoting on the highest bit rather than the lowest took 10% off
+    these chains, and split slots instead of a 2n-bit tag p << n | w, which
+    each new pivot and layer entry had to shift apart, took 15-19% off the
+    364 chains of 12/8.  On wedge squares of dimension 276 and 1,128, where
+    applying X dominates, the chain moved by -8% to +3%, within the noise
+    (in-process A/B runs, 2-CPU host).
     """
     n = u.nrows
-    low = (1 << n) - 1
     x = [c ^ (1 << j) for j, c in enumerate(u.cols)]
-    steps = [(c, (1 << n | 1) << j) for j, c in enumerate(x)]  # (X w, p << n | w), p = w = e_j
+    steps = [(c, 1 << j, 1 << j) for j, c in enumerate(x)]  # (X w, p, w), p = w = e_j
     ranks, layers = [n], [[]]
     while steps:
-        pivots: list[tuple[int, int] | None] = [None] * n
+        ws, ps, qs = [0] * n, [0] * n, [0] * n
         layer, walked = [], []
-        for w, t in steps:
+        for w, p, q in steps:
             while w:
                 b = w.bit_length() - 1
-                hit = pivots[b]
-                if hit is None:
-                    pivots[b] = (w, t)
+                hit = ws[b]
+                if not hit:
+                    ws[b], ps[b], qs[b] = w, p, q
                     xw, rest = x[b], w ^ 1 << b
                     while rest:
                         c = rest.bit_length() - 1
                         xw ^= x[c]
                         rest ^= 1 << c
-                    walked.append((xw, t >> n << n | w))
+                    walked.append((xw, p, w))
                     break
-                w ^= hit[0]
-                t ^= hit[1]
+                w ^= hit
+                p ^= ps[b]
+                q ^= qs[b]
             else:
-                layer.append((t >> n, t & low))
+                layer.append((p, q))
         if not layer:
             raise ValueError("matrix is not unipotent: rank profile does not vanish")
         ranks.append(len(walked))
@@ -328,7 +337,9 @@ class BilinearSpace(Value):
     """A unipotent operator together with the Gram matrix of an invariant alternating form.
 
     Over GF(2) alternating means symmetric with zero diagonal; the form may
-    be degenerate.  Invariance u^T G u = G is checked on construction.
+    be degenerate.  Invariance u^T G u = G is checked on construction, one
+    row of u^T G u - G at a time, from the rows of G u and the columns of
+    X = u - 1.
     """
 
     def __init__(self, u: Gf2Matrix, gram: Gf2Matrix):
@@ -342,11 +353,21 @@ class BilinearSpace(Value):
         g = gram.rows
         if any([r >> i & 1 for i, r in enumerate(g)]):
             raise ValueError("Gram matrix must have zero diagonal (alternating form)")
-        # row k of G u XORs the rows of u that row k of G selects and row i of
-        # u^T G u the rows of G u that column i of u selects: this walks G, about
-        # half as dense as u, where a column at a time walks G u
-        if _combine(_combine(u.rows, g), u.cols) != list(g):
-            raise ValueError("form is not invariant under the operator")
+        # row k of G u XORs the rows of u that row k of G selects: this walks G,
+        # about half as dense as u.  With X = u - 1, u^T G u - G = X^T (G u) + G X
+        # and G X = G u + G, so row i of u^T G u - G is the XOR of the rows of
+        # G u that column i of X selects, plus row i of G u and of G.  For a
+        # unipotent u each column of X holds one bit fewer than that of u
+        gu = _combine(u.rows, g)
+        for i, c in enumerate(u.cols):
+            acc = gu[i] ^ g[i]
+            c ^= 1 << i
+            while c:
+                b = c.bit_length() - 1
+                acc ^= gu[b]
+                c ^= 1 << b
+            if acc:
+                raise ValueError("form is not invariant under the operator")
 
     @property
     def dim(self) -> int:

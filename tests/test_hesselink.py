@@ -154,6 +154,71 @@ class TestTypes:
         assert str(S("2_0^2,8_1").jordan()) == "2^2,8"
 
 
+def _reference_symplectic_error(entries) -> tuple[type, str] | None:
+    """What SymplecticType(entries) raised when it validated in two loops, or None.
+
+    The first loop checks the tagged-type laws entry by entry; the second
+    then names the first untagged size of odd multiplicity.
+    """
+    prev = 0
+    for d, m, e in entries:
+        if d <= prev:
+            return ValueError, f"sizes must be positive and strictly increasing, got {d} after {prev}"
+        if m < 1:
+            return ValueError, f"multiplicity of size {d} must be positive, got {m}"
+        if e not in (0, 1):
+            return ValueError, f"eps tag of size {d} must be 0 or 1, got {e}"
+        if e == 1 and d % 2:
+            return ValueError, f"eps = 1 is impossible on odd size {d}"
+        prev = d
+    for d, m, e in entries:
+        if e == 0 and m % 2:
+            return SymplecticConstraintError, f"size {d} has odd multiplicity {m} with eps = 0; odd multiplicity forces eps = 1"
+    return None
+
+
+def _raised(build, entries) -> tuple[type, str] | None:
+    try:
+        build(entries)
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def _entry_tuples(draw):
+    """Increasing sizes with multiplicities and tags that are mostly lawful, and then maybe a few faults."""
+    sizes = sorted(draw(st.lists(st.integers(1, 12), unique=True, max_size=6)))
+    entries = [[d, draw(st.integers(1, 4)), draw(st.integers(0, 1)) if d % 2 == 0 else 0] for d in sizes]
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        entry = draw(st.sampled_from(entries))
+        field = draw(st.integers(0, 2))
+        entry[field] = draw(st.integers(-1, 13) if field == 0 else st.integers(-1, 2))
+    return tuple(tuple(entry) for entry in entries)
+
+
+class TestOneLoopValidation:
+    """SymplecticType validates in one pass and raises what its two loops raised: class, message, and which error wins."""
+
+    @given(_entry_tuples())
+    @settings(max_examples=500, deadline=None)
+    @example(((2, 1, 0), (3, 1, 1)))  # a parity fault before a tagged-type fault: the latter wins
+    @example(((2, 1, 0), (4, 3, 0), (6, 0, 1)))
+    @example(((1, 2, 0), (2, 1, 0), (4, 3, 0)))  # two parity faults: the first is named
+    def test_matches_two_loop_reference(self, entries):
+        want = _reference_symplectic_error(entries)
+        assert _raised(SymplecticType, entries) == want
+        if want is None or want[0] is SymplecticConstraintError:
+            assert _raised(EpsilonTaggedType, entries) is None
+        else:
+            assert _raised(EpsilonTaggedType, entries) == want
+
+    def test_parity_error_names_the_first_odd_untagged_size(self):
+        with pytest.raises(SymplecticConstraintError) as info:
+            SymplecticType(((1, 2, 0), (2, 1, 0), (4, 3, 0)))
+        assert info.value.size == 2
+
+
 class TestOrthogonalSum:
     def test_normalization(self):
         # one tagged copy absorbs hyperbolic copies of the same size

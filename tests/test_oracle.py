@@ -1,5 +1,6 @@
 """Tests for the GF(2) matrix layer and its agreement with the combinatorics."""
 
+import functools
 import random
 from collections import Counter
 
@@ -460,7 +461,7 @@ class TestChecksAgreeWithReference:
     @given(
         st.sampled_from(KNOWN_SPACES),
         st.integers(0, 2**32),
-        st.sampled_from(["none", "pair", "entry"]),
+        st.sampled_from(["none", "pair", "entry", "u"]),
         st.data(),
     )
     @settings(max_examples=200, deadline=None)
@@ -469,13 +470,14 @@ class TestChecksAgreeWithReference:
         g = list(a.gram.rows)
         i = data.draw(st.integers(0, a.dim - 1))
         j = data.draw(st.integers(0, a.dim - 1))
-        if flip != "none":
+        u = _flip_u(a.u, i, j) if flip == "u" else a.u
+        if flip in ("pair", "entry"):
             g[i] ^= 1 << j
         if flip == "pair" and i != j:
             g[j] ^= 1 << i
         gram = Gf2Matrix(a.dim, a.dim, g)
-        want = reference_space_check(a.u, Gf2Matrix(a.dim, a.dim, g))
-        assert _outcome(a.u, gram) == want
+        want = reference_space_check(u, Gf2Matrix(a.dim, a.dim, g))
+        assert _outcome(u, gram) == want == _parent_space_outcome(u, Gf2Matrix(a.dim, a.dim, g))
         if flip == "none":
             assert want is None
 
@@ -805,6 +807,159 @@ class TestPowerChain:
         ranks, layers = _power_chain(Gf2Matrix.identity(n))
         assert ranks == [n, 0]
         assert layers == [[], [(1 << j, 1 << j) for j in range(n)]]
+
+
+def _reference_power_chain(u: Gf2Matrix) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The power chain as sp2forms.oracle had it before split slots: items (X w, p << n | w), one packed tag each."""
+    n = u.nrows
+    low = (1 << n) - 1
+    x = [c ^ (1 << j) for j, c in enumerate(u.cols)]
+    steps = [(c, (1 << n | 1) << j) for j, c in enumerate(x)]  # (X w, p << n | w), p = w = e_j
+    ranks, layers = [n], [[]]
+    while steps:
+        pivots: list[tuple[int, int] | None] = [None] * n
+        layer, walked = [], []
+        for w, t in steps:
+            while w:
+                b = w.bit_length() - 1
+                hit = pivots[b]
+                if hit is None:
+                    pivots[b] = (w, t)
+                    xw, rest = x[b], w ^ 1 << b
+                    while rest:
+                        c = rest.bit_length() - 1
+                        xw ^= x[c]
+                        rest ^= 1 << c
+                    walked.append((xw, t >> n << n | w))
+                    break
+                w ^= hit[0]
+                t ^= hit[1]
+            else:
+                layer.append((t >> n, t & low))
+        if not layer:
+            raise ValueError("matrix is not unipotent: rank profile does not vanish")
+        ranks.append(len(walked))
+        layers.append(layer)
+        steps = walked
+    return ranks, layers
+
+
+@functools.cache
+def _oracle_check_spaces() -> tuple[BilinearSpace, ...]:
+    """Every full space and fixed-vector subquotient that oracle-check 12/8 builds, in sweep order."""
+    spaces = []
+    for kind, arg in sweep_tasks(12, 8):
+        built = wedge_space(space_from_type(S(arg))) if kind == "sp" else dual_tensor_space(unipotent_from_jordan(J(arg)))
+        spaces += [built.space, subquotient(*built)]
+    return tuple(spaces)
+
+
+def _chain_outcome(chain, u: Gf2Matrix):
+    try:
+        return chain(u)
+    except ValueError as err:
+        return str(err)
+
+
+NOT_UNIPOTENT = "matrix is not unipotent: rank profile does not vanish"
+
+
+class TestSplitSlotChain:
+    """The split-slot chain returns the packed-tag chain's (ranks, layers), element by element, and raises where it raised."""
+
+    def test_every_oracle_check_chain(self):
+        spaces = _oracle_check_spaces()
+        assert len(spaces) == 364
+        for a in spaces:
+            assert _power_chain(a.u) == _reference_power_chain(a.u)
+
+    @given(st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_conjugated_unipotents(self, n, seed):
+        rng = random.Random(seed)
+        p = _random_invertible(rng, n)
+        u = p.mul(unipotent_from_jordan(_random_jordan_type(rng, n))).mul(p.inverse())
+        assert _power_chain(u) == _reference_power_chain(u)
+
+    @given(st.integers(1, 10).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_any_square_matrix(self, rows):
+        # most such matrices are not unipotent: both chains must then raise the same error
+        u = Gf2Matrix(len(rows), len(rows), rows)
+        assert _chain_outcome(_power_chain, u) == _chain_outcome(_reference_power_chain, u)
+
+    def test_not_unipotent(self):
+        u = Gf2Matrix(3, 3, [0b010, 0b100, 0b001])  # a 3-cycle, of order 3
+        with pytest.raises(ValueError) as info:
+            _power_chain(u)
+        assert str(info.value) == _chain_outcome(_reference_power_chain, u) == NOT_UNIPOTENT
+
+
+INVARIANT = "form is not invariant under the operator"
+
+
+def _parent_space_outcome(u: Gf2Matrix, gram: Gf2Matrix) -> str | None:
+    """The message BilinearSpace(u, gram) raised when invariance walked the columns of u, or None; its checks, in order."""
+    n = u.nrows
+    if u.ncols != n or gram.nrows != n or gram.ncols != n:
+        return "operator and Gram matrix must be square of equal size"
+    g = gram.rows
+    if not Gf2Matrix(n, n, g).is_symmetric():
+        return "Gram matrix must be symmetric"
+    if any([r >> i & 1 for i, r in enumerate(g)]):
+        return "Gram matrix must have zero diagonal (alternating form)"
+    if not _parent_invariant(u, g):
+        return INVARIANT
+    return None
+
+
+def _parent_invariant(u: Gf2Matrix, g: tuple[int, ...]) -> bool:
+    """u^T G u = G, built as the rows of u^T G u from the rows of G u and the columns of u."""
+    return _combine(_combine(u.rows, g), u.cols) == list(g)
+
+
+def _flip_u(u: Gf2Matrix, i: int, j: int) -> Gf2Matrix:
+    """u with entry (i, j) flipped in its rows and in its written columns."""
+    rows, cols = list(u.rows), list(u.cols)
+    rows[i] ^= 1 << j
+    cols[j] ^= 1 << i
+    return Gf2Matrix(u.nrows, u.ncols, rows, cols)
+
+
+def _flip_gram(gram: Gf2Matrix, *entries: tuple[int, int]) -> Gf2Matrix:
+    g = list(gram.rows)
+    for i, j in entries:
+        g[i] ^= 1 << j
+    return Gf2Matrix(gram.nrows, gram.ncols, g)
+
+
+class TestInvarianceAgreesWithParent:
+    """Walking X = u - 1 rejects exactly what walking u did, with the same message and in the same order."""
+
+    def test_one_flip_on_oracle_check_spaces(self):
+        rng = random.Random(47)
+        seen = Counter()
+        for a in _oracle_check_spaces():
+            n = a.dim
+            u = _flip_u(a.u, rng.randrange(n), rng.randrange(n))
+            i, j = rng.sample(range(n), 2)
+            for op, gram in ((u, a.gram), (a.u, _flip_gram(a.gram, (i, j), (j, i)))):
+                want = _parent_space_outcome(op, gram)
+                assert _outcome(op, gram) == want
+                seen[want] += 1
+        assert set(seen) == {None, INVARIANT} and min(seen.values()) >= 20
+
+    def test_two_faults_report_the_earlier_check(self):
+        # u broken; then also a diagonal bit of G; then also an unmirrored bit:
+        # each space fails every check the one before failed, and the earliest names it
+        a = space_from_type(S("2_0^2,4_1"))
+        u = _flip_u(a.u, 0, a.dim - 1)
+        diagonal = _flip_gram(a.gram, (1, 1))
+        lopsided = _flip_gram(a.gram, (1, 1), (2, 3))
+        assert not _parent_invariant(u, diagonal.rows) and not _parent_invariant(u, lopsided.rows)
+        zero_diagonal, symmetric = "Gram matrix must have zero diagonal (alternating form)", "Gram matrix must be symmetric"
+        for gram, want in ((a.gram, INVARIANT), (diagonal, zero_diagonal), (lopsided, symmetric)):
+            assert _outcome(u, gram) == _parent_space_outcome(u, gram) == want
 
 
 class TestSubquotient:
