@@ -50,11 +50,11 @@ MAX_N_CAP = 1000
 MAX_DIM_CAP = 400
 
 # Caps on the oracle-check bounds, which drive time.  Its cost about doubles
-# for each +2 in symplectic dimension.  With --jobs 1, in three runs each at a
-# later commit on the same host type, --max-dim 24 --max-n 0 (2,256
-# symplectic classes) takes 4.8-5.5 s and --max-dim 0 --max-n 16 (913 Jordan
-# types, dual tensor squares up to dimension 256) 1.76-1.80 s, each in about
-# 18 MB (BENCH_28.json).
+# for each +2 in symplectic dimension.  With --jobs 1, in five runs each at a
+# later commit on the same host type, --max-dim 24 --max-n 0 (2,256 classes)
+# takes 5.0-7.3 s and --max-dim 0 --max-n 16 (913 Jordan types, dual tensor
+# squares up to dimension 256) 1.8-2.3 s, each in about 18 MB; that session
+# ran slow, its parent taking 5.5-7.1 s and 1.8-2.8 s (BENCH_29.json).
 ORACLE_MAX_DIM_CAP = 24
 ORACLE_MAX_N_CAP = 16
 

@@ -195,9 +195,10 @@ def sweep_tasks(max_dim: int, max_n: int) -> list[tuple[str, str]]:
 def run_crosscheck(max_dim: int = 12, max_n: int = 8, jobs: int = 1) -> CrosscheckReport:
     """Run both sweeps, optionally over a process pool; order-independent report.
 
-    The worker count is clamped to 1..os.cpu_count().
+    The worker count is clamped to 1..the CPUs this process may run on.
     """
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = max(1, min(jobs, usable or 1))
     tasks = sweep_tasks(max_dim, max_n)
     report = CrosscheckReport()
     start = time.perf_counter()

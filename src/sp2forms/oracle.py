@@ -14,8 +14,9 @@ elimination gives ranks, kernels and inverses.  One chain of images of
 X = u - 1, eliminated and walked on in one loop with each item's image,
 preimage and vector in slots of their own, gives the Jordan type, and its
 dependencies give the kernel layers that the eps tags are read from.
-Invariance of a form is checked on the rows of u^T G u - G, built from the
-rows of G u and the columns of X; a subquotient is written straight from an
+One walk of a space's Gram matrix finds it alternating and builds G u, and
+invariance is checked on the rows of u^T G u - G, built from the rows of
+G u and the columns of X; a subquotient is written straight from an
 explicit basis of the perp of its fixed vector, and a wedge square from the
 rows and columns of u and the rows of the Gram matrix, all x ^ y at once.
 Dimensions up to a few hundred are cheap.
@@ -37,7 +38,8 @@ class Gf2Matrix:
     ``cols`` is the column view: column j is an int whose bit i is entry
     (i, j).  A builder that writes both views in one pass hands them both to
     the constructor, which trusts the columns; otherwise they are built on
-    first use, or lent by the rows once :meth:`is_symmetric` finds them equal.
+    first use, or lent by the rows once :class:`BilinearSpace` finds a Gram
+    matrix symmetric.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "_cols")
@@ -98,29 +100,6 @@ class Gf2Matrix:
         if v >> self.ncols:
             v &= (1 << self.ncols) - 1
         return _combine(self.cols, (v,))[0]
-
-    def is_symmetric(self) -> bool:
-        """Whether the matrix equals its transpose; if so, its rows become its column view.
-
-        Each bit above the diagonal is looked up in its mirror; the two
-        triangles are then equal exactly when they hold as many bits.
-        """
-        rows = self.rows
-        if self.nrows != self.ncols:
-            return False
-        upper = lower = 0
-        for i, r in enumerate(rows):
-            up = r >> i >> 1
-            upper += up.bit_count()
-            lower += (r & ((1 << i) - 1)).bit_count()
-            while up:
-                b = up.bit_length() - 1
-                if not rows[i + 1 + b] >> i & 1:
-                    return False
-                up ^= 1 << b
-        if upper == lower:
-            self._cols = rows
-        return upper == lower
 
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix(self.ncols, self.nrows, self.cols, self.rows)
@@ -337,9 +316,10 @@ class BilinearSpace(Value):
     """A unipotent operator together with the Gram matrix of an invariant alternating form.
 
     Over GF(2) alternating means symmetric with zero diagonal; the form may
-    be degenerate.  Invariance u^T G u = G is checked on construction, one
-    row of u^T G u - G at a time, from the rows of G u and the columns of
-    X = u - 1.
+    be degenerate.  Construction walks the rows of G once: each set bit adds
+    a row of u to G u, and each bit above the diagonal is looked up in its
+    mirror.  Invariance u^T G u = G is then checked one row of u^T G u - G
+    at a time, from the rows of G u and the columns of X = u - 1.
     """
 
     def __init__(self, u: Gf2Matrix, gram: Gf2Matrix):
@@ -348,17 +328,36 @@ class BilinearSpace(Value):
         n = u.nrows
         if u.ncols != n or gram.nrows != n or gram.ncols != n:
             raise ValueError("operator and Gram matrix must be square of equal size")
-        if not gram.is_symmetric():
-            raise ValueError("Gram matrix must be symmetric")
+        # One walk of G, about half as dense as u: set bit b of row i XORs row b
+        # of u into row i of G u and, when b > i, looks up its mirror.  With
+        # every mirror there, G is symmetric when the two triangles hold as
+        # many bits: when all of G holds twice the upper bits plus the diagonal
         g = gram.rows
-        if any([r >> i & 1 for i, r in enumerate(g)]):
+        ur = u.rows
+        gu = []
+        upper = diagonal = 0
+        for i, r in enumerate(g):
+            acc = 0
+            while r:
+                b = r.bit_length() - 1
+                acc ^= ur[b]
+                r ^= 1 << b
+                if b > i:
+                    if not g[b] >> i & 1:
+                        raise ValueError("Gram matrix must be symmetric")
+                    upper += 1
+                elif b == i:
+                    diagonal += 1
+            gu.append(acc)
+        if 2 * upper + diagonal != sum(map(int.bit_count, g)):
+            raise ValueError("Gram matrix must be symmetric")
+        gram._cols = g
+        if diagonal:
             raise ValueError("Gram matrix must have zero diagonal (alternating form)")
-        # row k of G u XORs the rows of u that row k of G selects: this walks G,
-        # about half as dense as u.  With X = u - 1, u^T G u - G = X^T (G u) + G X
-        # and G X = G u + G, so row i of u^T G u - G is the XOR of the rows of
-        # G u that column i of X selects, plus row i of G u and of G.  For a
-        # unipotent u each column of X holds one bit fewer than that of u
-        gu = _combine(u.rows, g)
+        # With X = u - 1, u^T G u - G = X^T (G u) + G X and G X = G u + G, so
+        # row i of u^T G u - G is the XOR of the rows of G u that column i of X
+        # selects, plus row i of G u and of G.  For a unipotent u each column
+        # of X holds one bit fewer than that of u
         for i, c in enumerate(u.cols):
             acc = gu[i] ^ g[i]
             c ^= 1 << i

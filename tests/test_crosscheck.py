@@ -90,6 +90,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return [fn(t) for t in tasks]
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     assert run_crosscheck(max_dim=4, max_n=2, jobs=100000).ok
@@ -98,6 +99,15 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     # the default is one worker, which runs serially
     assert run_crosscheck(max_dim=4, max_n=2).ok
     assert requested == [2]
+    # a process pinned to one CPU of eight runs serially, however many workers it asks for
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert run_crosscheck(max_dim=4, max_n=2, jobs=4).ok
+    assert requested == [2]
+    # without an affinity call, the machine's CPU count is the bound
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run_crosscheck(max_dim=4, max_n=2, jobs=4).ok
+    assert requested == [2, 4]
 
 
 def test_report_json_shape():

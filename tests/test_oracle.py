@@ -442,14 +442,19 @@ class TestChecksAgreeWithReference:
     @settings(max_examples=200, deadline=None)
     def test_is_symmetric(self, m):
         fresh = Gf2Matrix(m.nrows, m.ncols, m.rows)
-        want = fresh.rows == fresh.transpose().rows
-        assert m.is_symmetric() == want
-        # a symmetric matrix lends its rows as its column view, which must then be right
-        assert m.cols == fresh.cols
+        assert _is_symmetric(fresh) == (fresh.rows == fresh.transpose().rows)
+        identity = Gf2Matrix.identity(m.nrows)
+        outcome = _outcome(identity, m)
+        assert outcome == _parent_space_outcome(identity, fresh)
+        if outcome is None:
+            # an accepted Gram matrix lends its rows as its column view, which must then be right
+            assert m.cols == fresh.transpose().rows
 
     def test_is_symmetric_rejects_non_square(self):
-        assert not Gf2Matrix(2, 3, [0, 0]).is_symmetric()
-        assert not Gf2Matrix(3, 2, [0, 0, 0]).is_symmetric()
+        assert not _is_symmetric(Gf2Matrix(2, 3, [0, 0]))
+        assert not _is_symmetric(Gf2Matrix(3, 2, [0, 0, 0]))
+        with pytest.raises(ValueError, match="square of equal size"):
+            BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix(2, 3, [0, 0]))
 
     @given(operator_gram_pairs())
     @settings(max_examples=200, deadline=None)
@@ -904,13 +909,31 @@ def _parent_space_outcome(u: Gf2Matrix, gram: Gf2Matrix) -> str | None:
     if u.ncols != n or gram.nrows != n or gram.ncols != n:
         return "operator and Gram matrix must be square of equal size"
     g = gram.rows
-    if not Gf2Matrix(n, n, g).is_symmetric():
+    if not _is_symmetric(Gf2Matrix(n, n, g)):
         return "Gram matrix must be symmetric"
     if any([r >> i & 1 for i, r in enumerate(g)]):
         return "Gram matrix must have zero diagonal (alternating form)"
     if not _parent_invariant(u, g):
         return INVARIANT
     return None
+
+
+def _is_symmetric(m: Gf2Matrix) -> bool:
+    """Whether m equals its transpose: each bit above the diagonal is looked up in its mirror, and the triangles hold as many bits."""
+    rows = m.rows
+    if m.nrows != m.ncols:
+        return False
+    upper = lower = 0
+    for i, r in enumerate(rows):
+        up = r >> i >> 1
+        upper += up.bit_count()
+        lower += (r & ((1 << i) - 1)).bit_count()
+        while up:
+            b = up.bit_length() - 1
+            if not rows[i + 1 + b] >> i & 1:
+                return False
+            up ^= 1 << b
+    return upper == lower
 
 
 def _parent_invariant(u: Gf2Matrix, g: tuple[int, ...]) -> bool:
@@ -960,6 +983,40 @@ class TestInvarianceAgreesWithParent:
         zero_diagonal, symmetric = "Gram matrix must have zero diagonal (alternating form)", "Gram matrix must be symmetric"
         for gram, want in ((a.gram, INVARIANT), (diagonal, zero_diagonal), (lopsided, symmetric)):
             assert _outcome(u, gram) == _parent_space_outcome(u, gram) == want
+
+
+def _triangles(g: tuple[int, ...]) -> tuple[int, int, bool]:
+    """Bits above the diagonal, bits below it, and whether every bit above has its mirror below."""
+    upper = sum((r >> i >> 1).bit_count() for i, r in enumerate(g))
+    lower = sum((r & (1 << i) - 1).bit_count() for i, r in enumerate(g))
+    mirrored = all(g[j] >> i & 1 for i, r in enumerate(g) for j in range(i + 1, len(g)) if r >> j & 1)
+    return upper, lower, mirrored
+
+
+class TestSymmetryHalves:
+    """The mirror lookups and the triangle counts each reject a Gram matrix that the other lets through."""
+
+    @pytest.mark.parametrize(
+        "flips,counts_equal,mirrored",
+        [
+            # an unmirrored bit above the diagonal and another below it: equal counts, a mirror missing
+            (((0, 1), (5, 2)), True, False),
+            # one extra bit below the diagonal: every bit above is mirrored, the counts differ
+            (((6, 0),), False, True),
+        ],
+        ids=["unmirrored-pair", "extra-lower-bit"],
+    )
+    @pytest.mark.parametrize("more_faults", [False, True], ids=["alone", "with-diagonal-and-u"])
+    def test_rejected(self, flips, counts_equal, mirrored, more_faults):
+        a = space_from_type(S("2_0^2,4_1"))
+        u, gram = a.u, _flip_gram(a.gram, *flips)
+        upper, lower, all_mirrored = _triangles(gram.rows)
+        assert (upper == lower, all_mirrored) == (counts_equal, mirrored)
+        if more_faults:
+            # a diagonal bit and a broken u fail the later checks too; symmetry is still reported first
+            u, gram = _flip_u(u, 0, a.dim - 1), _flip_gram(gram, (1, 1))
+            assert gram.rows[1] >> 1 & 1 and not _parent_invariant(u, gram.rows)
+        assert _outcome(u, gram) == _parent_space_outcome(u, gram) == "Gram matrix must be symmetric"
 
 
 class TestSubquotient:
