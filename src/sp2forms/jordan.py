@@ -129,9 +129,6 @@ class JordanType(Value):
         """Build a type from a size -> multiplicity mapping, dropping zeros."""
         return cls(tuple([(d, m) for d, m in sorted(counts.items()) if m]))
 
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.blocks)
-
     def sizes(self) -> tuple[int, ...]:
         return tuple([d for d, _ in self.blocks])
 

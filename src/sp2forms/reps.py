@@ -7,25 +7,24 @@ functional modulo the span of the identity tensor -- carries a non-degenerate
 one.  For u preserving a symplectic form on V (the symplectic case), the
 wedge square carries the analogous form, with the subquotient taken by the
 invariant wedge vector.  Both tagged class data are computable purely from
-the Jordan data of u; this module implements those rules.  The GF(2) matrix
-construction in :mod:`sp2forms.oracle` recomputes the same answers from
-scratch and is used by the test suite to cross-check every rule.
+the Jordan data of u.  Each rule reads its input in one pass, sorts its grown
+square once and slices the subquotient's entries from it.  The GF(2) matrices
+of :mod:`sp2forms.oracle` recompute the same answers to cross-check each rule.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
-from .hesselink import EpsilonTaggedType, SymplecticType, _tag, alpha_of, v_product_tag
+from .hesselink import EpsilonTaggedType, SymplecticType, _tag, v_product_tag
 from .jordan import (
     JordanType,
     Value,
     _tensor_blocks,
     _wedge_block,
-    gcd_valuation,
     grow_tensor_square,
     grow_wedge_square,
-    nu2,
     square_multiplicities,
 )
 
@@ -55,25 +54,25 @@ class WedgeSquareClasses(_SquareClasses):
         object.__setattr__(self, "alpha", alpha)
 
 
-def _subquotient(
-    lam: dict[int, int], tagged: set[int], n: int, alpha: int, square: str
-) -> tuple[dict[int, int], set[int]]:
-    """Jordan multiplicities and tagged sizes of the fixed-vector subquotient of a square.
+def _subquotient(lam: dict[int, int], tagged: set[int], n: int, alpha: int, square: str, keep: int = 1) -> tuple:
+    """Sorted (size, multiplicity, eps) entries of a square and of its fixed-vector subquotient.
 
-    lam and tagged are the square's; square ("tensor" or "wedge") names it
-    in the errors.  The subquotient removes one block when the distinguished
-    fixed vector spans the radical (n odd), otherwise two; which sizes are
-    touched depends on the parity of n / 2^alpha.  k blocks of one size go;
-    for n even and alpha > 0, k blocks of size 2^alpha - 1 or 2^alpha - 2
-    take their place, none when that size is 0.  For n even and alpha > 1,
-    2^alpha - 2 is never tagged on the square; in the halving case, where
-    n / 2^alpha is odd, its new block is tagged on the subquotient.  The
-    other tags are kept, in a new set.
+    lam and tagged are the square's; square ("tensor" or "wedge") names it in
+    the errors, which print lam as grown.  The subquotient removes one block
+    when the distinguished fixed vector spans the radical (n odd), otherwise
+    two; which sizes are touched depends on the parity of n / 2^alpha.  k
+    blocks of one size go; for n even and alpha > 0, k blocks of size
+    2^alpha - 1 or 2^alpha - 2 take their place, none when that size is 0.
+    For n even and alpha > 1, 2^alpha - 2 is never tagged on the square; in
+    the halving case, where n / 2^alpha is odd, its new block is tagged on the
+    subquotient.  For n even and alpha > 0, keep = 0 drops the tag of 2^alpha
+    (the wedge rule).  The square is sorted once; the subquotient is its
+    entries with at most two replaced, found by bisection, sliced around.
     """
     if not lam.keys() >= tagged:
         raise RuntimeError(f"tagged sizes {tagged - set(lam)} missing from the {square} square")
     if n % 2 or alpha == 0:
-        size, k, new = 1, 2 - n % 2, 0
+        size, k, new, keep = 1, 2 - n % 2, 0, 1
     elif (n >> alpha) % 2 == 0:
         size, k, new = 1 << alpha, 2, (1 << alpha) - 1
     else:
@@ -81,20 +80,21 @@ def _subquotient(
     have = lam.get(size, 0)
     if have < k:
         raise RuntimeError(f"cannot remove {k} blocks of size {size} from {lam}")
-    out = dict(lam)
-    if have == k:
-        del out[size]
-    else:
-        out[size] = have - k
-    if new:
-        out[new] = out.get(new, 0) + k
-    tagged_sub = set(tagged)
-    if size > 2:  # n even and alpha > 1
-        if size - 2 in tagged:
-            raise RuntimeError(f"size {size - 2} should not be tagged on the {square} square")
-        if k == 1:  # the halving case
-            tagged_sub.add(new)
-    return out, tagged_sub
+    if size > 2 and size - 2 in tagged:  # n even and alpha > 1
+        raise RuntimeError(f"size {size - 2} should not be tagged on the {square} square")
+    entries = _tag(lam, tagged)
+    i = bisect_left(entries, (size,))
+    tail = entries[i + 1:]
+    if have > k:
+        tail = ((size, have - k, entries[i][2] & keep),) + tail
+    if not new:
+        return entries, entries[:i] + tail
+    j = bisect_left(entries, (new,), 0, i)
+    halving = 2 - k  # 1 when n / 2^alpha is odd: the new block is tagged
+    if j < i and entries[j][0] == new:
+        _, m, e = entries[j]
+        return entries, entries[:j] + ((new, m + k, e | halving),) + entries[j + 1:i] + tail
+    return entries, entries[:j] + ((new, k, halving),) + entries[j:i] + tail
 
 
 @lru_cache(maxsize=None)
@@ -116,17 +116,22 @@ def dual_tensor_classes(j: JordanType) -> DualTensorClasses:
     consecutive-ones expansion of some block size d of j: a size above 1 of
     J_d x J_d, read from that square by :func:`_own_tags`.  The subquotient
     follows the fixed-vector rules of :func:`_subquotient`.
+
+    One pass over j gives the dimension, the tags and alpha, the lowest set
+    bit of the OR of the sizes: nu2 of their gcd is their least nu2.
     """
-    n = j.dimension()
+    n = low = 0
+    tagged: set[int] = set()
+    for d, m in j.blocks:
+        n += d * m
+        low |= d
+        tagged |= _own_tags(d, 0)
     if n < 2:
         raise ValueError(f"need a non-empty type of dimension at least 2, got dimension {n}")
+    alpha = (low & -low).bit_length() - 1
     lam = square_multiplicities(grow_tensor_square, j.blocks)
-    alpha = gcd_valuation(j.sizes())
-    tagged = set().union(*[_own_tags(d, 0) for d, _ in j.blocks])
-    lam_sub, tagged_sub = _subquotient(lam, tagged, n, alpha, "tensor")
-    full = EpsilonTaggedType(_tag(lam, tagged))
-    irr = SymplecticType(_tag(lam_sub, tagged_sub))
-    return DualTensorClasses(tensor_space=full, irreducible=irr, alpha=alpha)
+    full, irr = _subquotient(lam, tagged, n, alpha, "tensor")
+    return DualTensorClasses(tensor_space=EpsilonTaggedType(full), irreducible=SymplecticType(irr), alpha=alpha)
 
 
 def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
@@ -142,29 +147,36 @@ def wedge_square_classes(s: SymplecticType) -> WedgeSquareClasses:
     The subquotient follows :func:`_subquotient`, except at 2^alpha (n even,
     alpha > 0): always tagged on the square, it survives tagged only via a
     hyperbolic summand of that exact valuation.
+
+    One pass over s gives the dimension, the own tags, the blocks, the V
+    summands, alpha (as in :func:`dual_tensor_classes`, over the halved sizes
+    of :func:`hesselink.alpha_of`) and the OR of the lowest bits of the
+    hyperbolic sizes, which makes the 2^alpha rule one bit test.
     """
-    dim = s.dimension()
+    dim = low = hyp = 0
+    tagged: set[int] = set()
+    blocks = []
+    v_sizes = []
+    for d, m, e in s.entries:
+        dim += d * m
+        low |= d >> e
+        tagged |= _own_tags(d, e)
+        blocks.append((d, m))
+        if e:
+            v_sizes.append((d, m))
+        else:
+            hyp |= d & -d
     if dim < 4:
         raise ValueError(f"need dimension at least 4, got {dim}")
     n = dim // 2
-    alpha = alpha_of(s)
-    lam = square_multiplicities(grow_wedge_square, [(d, m) for d, m, _ in s.entries])
-
-    tagged = set().union(*[_own_tags(d, e) for d, _, e in s.entries])
-    v_sizes = [(d, m) for d, m, e in s.entries if e]
+    alpha = (low & -low).bit_length() - 1
+    lam = square_multiplicities(grow_wedge_square, blocks)
     for i, (d1, m1) in enumerate(v_sizes):
         for d2, _ in v_sizes[i + (m1 < 2):]:  # a summand meets itself only when it has two copies
             if tag := v_product_tag(d1, d2):
                 tagged.add(tag)
 
-    lam_sub, tagged_sub = _subquotient(lam, tagged, n, alpha, "wedge")
-    if n % 2 == 0 and alpha:
-        a = 1 << alpha
-        if a not in tagged:
-            raise RuntimeError(f"size {a} should always be tagged on the wedge square")
-        if not any(nu2(d) == alpha for d, _, e in s.entries if not e):
-            tagged_sub.discard(a)
-
-    full = EpsilonTaggedType(_tag(lam, tagged))
-    irr = SymplecticType(_tag(lam_sub, tagged_sub))
-    return WedgeSquareClasses(wedge_space=full, irreducible=irr, alpha=alpha)
+    full, irr = _subquotient(lam, tagged, n, alpha, "wedge", hyp >> alpha & 1)
+    if n % 2 == 0 and alpha and (1 << alpha) not in tagged:
+        raise RuntimeError(f"size {1 << alpha} should always be tagged on the wedge square")
+    return WedgeSquareClasses(wedge_space=EpsilonTaggedType(full), irreducible=SymplecticType(irr), alpha=alpha)

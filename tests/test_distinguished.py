@@ -406,8 +406,8 @@ class TestSearch:
                 for prefix in self._prefixes(j):
                     partial = (tensor(prefix, prefix), wedge_square(prefix))
                     for part, full in zip(partial, squares):
-                        if not _within_subquotient_reach(part.to_dict()):
-                            assert not _within_subquotient_reach(full.to_dict()), (prefix, j)
+                        if not _within_subquotient_reach(dict(part.blocks)):
+                            assert not _within_subquotient_reach(dict(full.blocks)), (prefix, j)
 
     def test_leaf_squares_match_the_engine(self, monkeypatch):
         # with nothing pruned, one search yields every partition of each dimension in table order with its square
@@ -421,20 +421,20 @@ class TestSearch:
         assert len(plain) == len(wedge) == 13
         for n in range(13):
             assert [p for p, _ in plain[n]] == list(partitions(n))
-            assert all(sq == tensor(JordanType(p), JordanType(p)).to_dict() for p, sq in plain[n])
+            assert all(sq == dict(tensor(JordanType(p), JordanType(p)).blocks) for p, sq in plain[n])
 
             assert [p for p, _ in wedge[n]] == list(symplectic_partitions(n))
-            assert all(sq == wedge_square(JordanType(p)).to_dict() for p, sq in wedge[n])
+            assert all(sq == dict(wedge_square(JordanType(p)).blocks) for p, sq in wedge[n])
 
             for j1, leaves in products:
                 assert [p for p, _ in leaves[n]] == list(symplectic_partitions(n))
-                assert all(sq == tensor(j1, JordanType(p)).to_dict() for p, sq in leaves[n])
+                assert all(sq == dict(tensor(j1, JordanType(p)).blocks) for p, sq in leaves[n])
 
     @staticmethod
     def _passing(max_dim, generate, square):
         """Exhaustive reference: for each dimension 0..max_dim, the partitions whose square passes, in table order."""
         return [
-            [(p, sq) for p in generate(n) for sq in [square(JordanType(p)).to_dict()] if _within_subquotient_reach(sq)]
+            [(p, sq) for p in generate(n) for sq in [dict(square(JordanType(p)).blocks)] if _within_subquotient_reach(sq)]
             for n in range(max(max_dim, 0) + 1)
         ]
 

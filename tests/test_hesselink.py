@@ -232,8 +232,8 @@ class TestOrthogonalSum:
         out = orthogonal_sum(s1, s2)
         assert out == orthogonal_sum(s2, s1)
         assert out.dimension() == s1.dimension() + s2.dimension()
-        assert out.jordan().to_dict() == {
-            d: s1.jordan().to_dict().get(d, 0) + s2.jordan().to_dict().get(d, 0)
+        assert dict(out.jordan().blocks) == {
+            d: dict(s1.jordan().blocks).get(d, 0) + dict(s2.jordan().blocks).get(d, 0)
             for d in set(s1.jordan().sizes()) | set(s2.jordan().sizes())
         }
 

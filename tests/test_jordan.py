@@ -118,7 +118,7 @@ class TestTensor:
     def test_three_by_n_family(self):
         # closed form for one small factor: four cases by n mod 4
         for n in range(3, 60):
-            got = tensor_blocks(3, n).to_dict()
+            got = dict(tensor_blocks(3, n).blocks)
             r = n % 4
             if r == 0:
                 want = {n: 3}
@@ -296,7 +296,7 @@ class TestWedge:
             want = {q // 2: 1}
             if q // 2 - 1 > 0:
                 want[q] = q // 2 - 1
-            assert wedge_block(q).to_dict() == want
+            assert dict(wedge_block(q).blocks) == want
 
     def test_smallest_block_and_odd_multiplicities(self):
         for n in range(1, 101):
