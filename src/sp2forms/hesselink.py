@@ -21,6 +21,7 @@ from .jordan import (
     Value,
     _scan_terms,
     _tensor_blocks,
+    check_ints,
     gcd_valuation,
     grow_product,
     restrict_power,
@@ -39,7 +40,7 @@ class SymplecticConstraintError(ValueError):
 
 
 def _check_entries(entries: tuple[tuple[int, int, int], ...]) -> tuple[int, int] | None:
-    """Raise ValueError on the first entry that breaks the tagged-type laws, else return the parity fault.
+    """Raise TypeError or ValueError on the first entry that breaks the tagged-type laws, else return the parity fault.
 
     The parity fault is the first untagged (size, multiplicity) of odd
     multiplicity, or None.  It is found in the same pass but only returned,
@@ -48,6 +49,8 @@ def _check_entries(entries: tuple[tuple[int, int, int], ...]) -> tuple[int, int]
     prev = 0
     odd = None
     for d, m, e in entries:
+        if type(d) is not int or type(m) is not int or type(e) is not int:
+            check_ints(("size", d), (f"multiplicity of size {d}", m), (f"eps tag of size {d}", e))
         if d <= prev:
             raise ValueError(f"sizes must be positive and strictly increasing, got {d} after {prev}")
         if m < 1:
@@ -65,9 +68,10 @@ def _check_entries(entries: tuple[tuple[int, int, int], ...]) -> tuple[int, int]
 class EpsilonTaggedType(Value):
     """A Jordan type with an epsilon tag per block size.
 
-    Entries are (size, multiplicity, eps) with strictly increasing sizes.
-    eps = 1 is only allowed on even sizes.  Degenerate forms are permitted;
-    the non-degenerate parity laws live in :class:`SymplecticType`.
+    Entries are (size, multiplicity, eps) ints (a bool counts as one) with
+    strictly increasing sizes.  eps = 1 is only allowed on even sizes.
+    Degenerate forms are permitted; the non-degenerate parity laws live in
+    :class:`SymplecticType`.
 
     Equality is by entries only, so a plain tagged type compares equal to its
     validated symplectic counterpart.

@@ -100,24 +100,33 @@ class TermTexts(dict):
 
 _BLOCK_TEXTS = TermTexts(lambda d, m: f"{d:d}^{m:d}" if m > 1 else f"{d:d}")
 
-# Term text -> entry, one dict per grammar (index 1: tagged), for terms read
-# wholly on the fast path: no spaces, ASCII digits, nonzero size and
-# multiplicity, eps tag "0" or "1".  Such a term reads the same wherever it
-# stands, and a duplicate of it is reported where the term starts.
+# Term text -> entry, one dict per grammar (index 1: tagged), for terms that
+# read with nothing left over and contain no space.  Such a key is ASCII
+# digits, "^" and "_", each field under int()'s digit limit; it reads the same
+# wherever it stands, and a duplicate of it is reported where the term starts.
 _READ_TERMS: tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]] = ({}, {})
+
+
+def check_ints(*fields: tuple[str, object]) -> None:
+    """Raise TypeError naming the first (name, value) field that is neither an int nor a bool; the printers' caches take ``3.0`` for ``3``."""
+    for name, x in fields:
+        if type(x) is not int and type(x) is not bool:
+            raise TypeError(f"{name} must be an int, got {type(x).__name__} {x!r}")
 
 
 class JordanType(Value):
     """A multiset of Jordan block sizes, as (size, multiplicity) pairs.
 
     Invariants: sizes strictly increasing, all sizes and multiplicities
-    positive.  The empty tuple represents the zero space.
+    positive ints (bools too).  The empty tuple represents the zero space.
     """
 
     def __init__(self, blocks: tuple[tuple[int, int], ...] = ()):
         object.__setattr__(self, "blocks", blocks)
         prev = 0
         for d, m in blocks:
+            if type(d) is not int or type(m) is not int:
+                check_ints(("block size", d), (f"multiplicity of block size {d}", m))
             if d <= prev:
                 raise ValueError(f"block sizes must be positive and strictly increasing, got {d} after {prev}")
             if m < 1:
@@ -174,12 +183,11 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
 
     Returns (d, m) or (d, m, e) tuples sorted by size; ``0`` gives the empty
     tuple.  Each term is first looked up by its exact text in the grammar's
-    dict of terms already read; any other term is read by :func:`_read_term`,
-    which stores it when it was read wholly on the fast path.  Every error is
-    a ParseError at the offending position, the first one met reading left to
-    right, except that a character no term can take is reported after the
-    duplicate size check.  No regular expression: compiling one at import
-    would cost start-up time.
+    dict of terms already read; any other term is read by :func:`_read_term`.
+    Every error is a ParseError at the offending position, the first one met
+    reading left to right, except that a character no term can take is
+    reported after the duplicate size check.  No regular expression:
+    compiling one at import would cost start-up time.
     """
     if text[:1] in " (0":  # a space, "(" or "0" first; "" enters too
         inner = text.strip(" ")
@@ -191,7 +199,6 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
             if not tail:
                 return ()
             raise ParseError(text, len(text) - len(tail), "unexpected input after '0'")
-    ascii_only = text.isascii()  # isdigit() alone takes '²' and '٣'
     known = _READ_TERMS[tagged]
     terms: dict[int, tuple[int, ...]] = {}
     at = 0
@@ -199,7 +206,7 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
         entry = known.get(term)
         junk = -1  # where a character the term cannot take starts
         if entry is None:
-            entry, junk = _read_term(text, at, term, tagged, ascii_only)
+            entry, junk = _read_term(text, at, term, tagged)
         d = entry[0]
         if d in terms:
             raise ParseError(text, at + len(term) - len(term.lstrip(" ")), f"duplicate block size {d}")
@@ -210,41 +217,29 @@ def _scan_terms(text: str, tagged: bool) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(terms.values()))
 
 
-def _read_term(text: str, at: int, term: str, tagged: bool, ascii_only: bool) -> tuple[tuple[int, ...], int]:
+def _read_term(text: str, at: int, term: str, tagged: bool) -> tuple[tuple[int, ...], int]:
     """Read the term at position ``at`` of ``text``: its entry, and where a character it cannot take starts, or -1.
 
-    Terms are cut at ``^`` and ``_`` with str methods.  A field of bare ASCII
-    digits with a nonzero value is read in place, and any other field goes to
-    :func:`_scan_field`.  A term read wholly in place, with an eps tag of
-    ``0`` or ``1``, is stored in the grammar's dict of terms already read.
+    Terms are cut at ``^`` and ``_`` with str methods, and each field is read
+    by :func:`_scan_field`.  A term read with nothing left over and without a
+    space is stored in the grammar's dict of terms already read.
     """
     size, caret, mult = term.partition("^")
     if tagged:
         size, under, e = size.partition("_")
-    junk = -1
-    d = int(size) if ascii_only and size.isdigit() else 0
-    fast = d > 0
-    if not fast:
-        d, junk = _scan_field(text, at, size, "block size")
+    d, junk = _scan_field(text, at, size, "block size")
     if tagged:
         if junk < 0 and not under:
             junk = at + len(size)
         if junk >= 0:
             raise ParseError(text, junk, "expected '_' and an eps tag")
-        if e == "0" or e == "1":
-            e = int(e)
-        else:
-            fast = False
-            e, junk = _scan_field(text, at + len(size) + 1, e, "eps tag")
+        e, junk = _scan_field(text, at + len(size) + 1, e, "eps tag")
     m = 1
     if caret and junk < 0:
-        m = int(mult) if ascii_only and mult.isdigit() else 0
-        if not m:
-            fast = False
-            m, junk = _scan_field(text, at + len(term) - len(mult), mult, "multiplicity")
+        m, junk = _scan_field(text, at + len(term) - len(mult), mult, "multiplicity")
     entry = (d, m, e) if tagged else (d, m)
     known = _READ_TERMS[tagged]
-    if fast and len(known) < TERM_CACHE_SIZE:
+    if junk < 0 and " " not in term and len(known) < TERM_CACHE_SIZE:
         known[term] = entry
     return entry, junk
 
@@ -302,7 +297,6 @@ class ConsecutiveOnesExpansion(Value):
         return {"terms": [[s, e] for s, e in self.terms]}
 
 
-@lru_cache(maxsize=None)
 def consecutive_ones(n: int) -> ConsecutiveOnesExpansion:
     """Expand n > 0 into its minimal alternating sum of powers of two.
 

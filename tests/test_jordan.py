@@ -229,9 +229,8 @@ class TestConsecutiveOnes:
             assert len(consecutive_ones(n).exponents()) == _minimal_alternating_length(n), n
 
     def test_matches_the_run_scan(self):
-        expand = consecutive_ones.__wrapped__  # uncached, so the session's cache does not keep 65,535 entries
         for n in range(1, 1 << 16):
-            assert expand(n).terms == _reference_consecutive_ones(n), n
+            assert consecutive_ones(n).terms == _reference_consecutive_ones(n), n
 
     @given(st.integers(min_value=1, max_value=(1 << 2000) - 1))
     @settings(max_examples=200, deadline=None)

@@ -8,6 +8,13 @@ cache of terms already read, so every string is checked from empty caches
 and again with warm ones.
 """
 
+import ast
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -157,6 +164,10 @@ EXAMPLES = (
     "2_1,2_1",
     "2_1^0",
     "2_1,",
+    "3,²",  # a stored term next to a character no term can take
+    "5,3",
+    "2_01,4_1",  # stored terms that come back at another position
+    "4_1,2_01",
 )
 
 
@@ -224,14 +235,41 @@ def test_a_duplicate_of_a_stored_term_is_reported_where_it_starts(cls, text, siz
     assert _outcome(cls.parse, text) == want
 
 
-@pytest.mark.parametrize("text", [" 3", "3 ", "²", "٣", "2_01", "2_1^ 2", pytest.param("1" * 5000, id="5000 ones")])
+@pytest.mark.parametrize("text", [" 3", "3 ", "2_1^ 2", "3x", "3^0", "²", "٣", pytest.param("1" * 5000, id="5000 ones")])
 def test_terms_off_the_fast_path_are_never_stored(text):
-    # spaces, non-ASCII digits, a tag other than "0" or "1", and a size past int()'s digit limit
+    # the fast path is the lookup of a stored term, and a term is stored only when it reads with nothing left over and
+    # contains no space: here a space, a character no field takes, a zero multiplicity, non-ASCII digits and a size
+    # past int()'s digit limit
     _clear_term_caches()
     _warm([text])
     assert not any(jordan._READ_TERMS)
     _warm(["3,5^2", "2_1^2,3_0"])
     assert jordan._READ_TERMS == ({"3": (3, 1), "5^2": (5, 2)}, {"2_1^2": (2, 2, 1), "3_0": (3, 1, 0)})
+
+
+@pytest.mark.parametrize("text, stored", [
+    pytest.param("2_01", ({}, {"2_01": (2, 1, 1)}), id="2_01"),
+    pytest.param("3,²", ({"3": (3, 1)}, {}), id="3 before a superscript two"),
+])
+def test_clean_terms_are_stored_under_their_exact_text(text, stored):
+    _clear_term_caches()
+    _warm([text])
+    assert jordan._READ_TERMS == stored
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_typed_strings(), st.text(alphabet=ALPHABET, max_size=14)), min_size=1, max_size=20))
+def test_stored_keys_are_plain_terms(texts):
+    # after any warming, every key is ASCII digits, "^" and "_", and reads as its stored entry after a first term, as
+    # a key such as "03" is only ever met; that first size is longer than any key
+    _clear_term_caches()
+    _warm(EXAMPLES)
+    _warm(texts)
+    first = ("9" * 15, "9" * 15 + "_0")
+    for grammar, known in enumerate(jordan._READ_TERMS):
+        for term, entry in known.items():
+            assert term and not term.strip("0123456789^_"), term
+            assert reference_scan(f"{first[grammar]},{term}", grammar)[0] == entry
 
 
 def test_term_caches_stop_at_the_cap():
@@ -262,6 +300,46 @@ def test_bool_fields_print_as_digits(bool_first):
         for value in (with_bool, with_int) if bool_first else (with_int, with_bool):
             assert str(value) == text
             assert type(value).parse(str(value)) == value
+
+
+def _printed(cases):
+    """Each (class name, entries) case's ``str`` and ``pretty`` texts, or its exception's class name and message."""
+    import sp2forms  # this function also runs from its source alone, in a fresh process
+
+    out = []
+    for name, entries in cases:
+        try:
+            value = getattr(sp2forms, name)(entries)
+            out.append((str(value), value.pretty()))
+        except (TypeError, ValueError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@st.composite
+def _drawn_cases(draw):
+    """Cases of each class with increasing sizes, each field drawn as its int, its float or (for 0 and 1) its bool."""
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["JordanType", "EpsilonTaggedType", "SymplecticType"]))
+        entries = []
+        for d in sorted(draw(st.sets(st.integers(1, 6), max_size=3))):
+            fields = (d, draw(st.integers(1, 3))) + ((draw(st.integers(0, 1)),) if name != "JordanType" else ())
+            forms = [(x, float(x), bool(x)) if x < 2 else (x, float(x)) for x in fields]
+            entries.append(tuple(draw(st.sampled_from(form)) for form in forms))
+        cases.append((name, tuple(entries)))
+    return cases
+
+
+@settings(max_examples=15, deadline=None)
+@given(_drawn_cases())
+def test_printers_do_not_depend_on_the_caches(cases):
+    # the same text, or the same exception, in a fresh process and here after the same entries were printed as ints
+    code = f"{inspect.getsource(_printed)}\nimport ast, sys\nprint(repr(_printed(ast.literal_eval(sys.argv[1]))))"
+    env = {**os.environ, "PYTHONPATH": str(Path(jordan.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, repr(cases)], env=env, capture_output=True, text=True, check=True)
+    _printed([(name, tuple(tuple(map(int, entry)) for entry in entries)) for name, entries in cases])
+    assert _printed(cases) == ast.literal_eval(done.stdout)
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import sp2forms
-from sp2forms import hesselink, jordan
+from test_parsing import TERM_CACHES, _clear_term_caches
 
 PACKAGE = Path(sp2forms.__file__).resolve().parent
 
@@ -194,8 +194,7 @@ def test_query_outputs_match_the_benchmark_digest(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = _load_perfbench("workloads", monkeypatch)
     stream = workloads.query_inputs(workloads.DEFAULT_SEED)
-    for cache in (*jordan._READ_TERMS, jordan._BLOCK_TEXTS, hesselink._ENTRY_TEXTS):
-        cache.clear()
+    _clear_term_caches()
     for warm in (False, True):
         outcome = workloads._run_queries(stream, [])
         tally = workloads.Tally()
@@ -204,7 +203,7 @@ def test_query_outputs_match_the_benchmark_digest(monkeypatch):
         assert len(outputs) == workloads.N_QUERIES == 10000 and len(tables) == 2
         assert tally.attempted == 10000 + 3  # the queries, the two tables and the digest
         assert tally.failed == 0, (warm, tally.notes)
-        assert jordan._READ_TERMS[0] and hesselink._ENTRY_TEXTS  # the run went through the caches
+        assert [len(cache) for cache in TERM_CACHES] == [254, 219, 2043, 2907]  # the sizes README quotes
 
 
 # Modules the command line does not need at start-up; dataclasses alone pulls in inspect, ast, dis and tokenize.

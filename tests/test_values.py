@@ -136,6 +136,14 @@ def test_positional_construction_matches_keywords():
     (lambda: SymplecticType(((3, 1, 1),)), ValueError, "eps = 1 is impossible on odd size 3"),
     (lambda: SymplecticType(((2, 1, 0),)), SymplecticConstraintError,
      "size 2 has odd multiplicity 1 with eps = 0; odd multiplicity forces eps = 1"),
+    (lambda: JordanType(((3.0, 1),)), TypeError, "block size must be an int, got float 3.0"),
+    (lambda: JordanType(((3, 1.0),)), TypeError, "multiplicity of block size 3 must be an int, got float 1.0"),
+    (lambda: JordanType(((2, 1), (1.0, 1))), TypeError, "block size must be an int, got float 1.0"),
+    (lambda: JordanType(((2, 0), (3.0, 1))), ValueError, "multiplicity of block size 2 must be positive, got 0"),
+    (lambda: JordanType((("3", 1),)), TypeError, "block size must be an int, got str '3'"),
+    (lambda: EpsilonTaggedType(((2, 1, 1.0),)), TypeError, "eps tag of size 2 must be an int, got float 1.0"),
+    (lambda: EpsilonTaggedType(((2, 1, 1), (4, 2.0, 0))), TypeError, "multiplicity of size 4 must be an int, got float 2.0"),
+    (lambda: SymplecticType(((2.0, 2, 0),)), TypeError, "size must be an int, got float 2.0"),
     (lambda: BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix.identity(3)), ValueError,
      "operator and Gram matrix must be square of equal size"),
     (lambda: BilinearSpace(Gf2Matrix.identity(2), Gf2Matrix(2, 2, [0b10, 0])), ValueError,
